@@ -776,9 +776,10 @@ let () =
     ]
   in
   let info = Cmd.info "ido_bench" ~doc:"iDO reproduction experiment driver" in
-  (* A scheme log overflowing its fixed capacity is a bounded-resource
-     verdict on the requested run, not a driver crash: render the
-     typed diagnostic instead of a backtrace. *)
+  (* A scheme log overflowing its fixed capacity, or the region running
+     out of words, is a bounded-resource verdict on the requested run,
+     not a driver crash: render the typed diagnostic instead of a
+     backtrace. *)
   exit
     (try Cmd.eval ~catch:false (Cmd.group info cmds)
      with
@@ -794,4 +795,12 @@ let () =
                "%s: %s log overflow on thread %d (capacity %d)"
                ov.Lognode.scheme ov.Lognode.log ov.Lognode.tid
                ov.Lognode.capacity));
+       3
+     | Ido_region.Region.Out_of_memory { requested; bump; size } ->
+       Printf.eprintf "ido_bench: %s\n"
+         (Ido_analysis.Diag.render
+            (Ido_analysis.Diag.vf ~func:"runtime" ~code:"R602"
+               "region out of memory: %d-word block at bump %d exceeds %d \
+                words"
+               requested bump size));
        3)

@@ -120,11 +120,17 @@ let overflow_diag (ov : Lognode.overflow) =
     "%s: %s log overflow on thread %d (capacity %d)" ov.Lognode.scheme
     ov.Lognode.log ov.Lognode.tid ov.Lognode.capacity
 
+let oom_diag ~requested ~bump ~size =
+  Ido_analysis.Diag.vf ~func:"runtime" ~code:"R602"
+    "region out of memory: %d-word block at bump %d exceeds %d words"
+    requested bump size
+
 (* Bad spec combinations (unsupported scheme x workload pair,
    nonsensical budget) surface as [Invalid_argument]; report them as
    the usage errors they are rather than as uncaught exceptions.  A
-   scheme log overflowing its fixed capacity is a bounded-resource
-   verdict on the run, not a crash: render it as a diagnostic.  An
+   scheme log overflowing its fixed capacity, or the region running
+   out of words, is a bounded-resource verdict on the run, not a
+   crash: render it as a diagnostic.  An
    unwritable --out path or unreadable --replay file raises
    [Sys_error]: an environment/usage problem, reported like an unknown
    name (exit 2), never a backtrace. *)
@@ -156,6 +162,10 @@ let guard f =
   | Lognode.Log_overflow ov ->
       Printf.eprintf "ido_check: %s\n"
         (Ido_analysis.Diag.render (overflow_diag ov));
+      3
+  | Ido_region.Region.Out_of_memory { requested; bump; size } ->
+      Printf.eprintf "ido_check: %s\n"
+        (Ido_analysis.Diag.render (oom_diag ~requested ~bump ~size));
       3
   | Ido_opt.Opt.Opt_violation msg ->
       Printf.eprintf "ido_check: OPTIMIZATION VIOLATION\n%s\n" msg;

@@ -98,9 +98,9 @@ let custom_config (c : custom) =
     seed = c.c_seed;
     cache_lines = c.c_cache_lines;
     opt = c.c_opt;
-    (* Each injection run starts from a pristine machine; the bounded
-       check workloads fit comfortably in 1M words (8 MiB), an 8x
-       saving over the benchmark default. *)
+    (* The bounded check workloads fit comfortably in 1M words; like
+       every [pmem_words] this is a logical bound (storage grows with
+       use), so it only sets where the region runs out. *)
     pmem_words = 1 lsl 20 }
 
 (* Run the durable setup phase on a pristine machine.  The event hook
@@ -124,11 +124,10 @@ let setup_custom (c : custom) =
 let setup spec = setup_custom (custom_of_spec spec)
 
 (* A reusable machine for batches of same-spec runs.  The first use
-   pays [Vm.create] (validation, instrumentation, image build, the big
-   pmem array); every later use is a [Vm.reset] — byte-identical
-   semantics at a fraction of the cost.  Each pool worker chunk (and
-   the whole serial path) keeps one arena, so machines are never
-   shared across domains. *)
+   pays [Vm.create] (validation, instrumentation, image build); every
+   later use is a [Vm.reset] — byte-identical semantics at a fraction
+   of the cost.  Each pool worker chunk (and the whole serial path)
+   keeps one arena, so machines are never shared across domains. *)
 type arena = { a_custom : custom; mutable a_machine : Vm.t option }
 
 let arena (c : custom) = { a_custom = c; a_machine = None }

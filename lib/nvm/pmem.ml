@@ -24,8 +24,14 @@ type event =
    all — only the vector. *)
 type line = { lineno : int; words : int64 array; mutable slot : int }
 
+(* The persistence domain is [size] words, but only [\[0, hwm)] can
+   hold anything other than zero: [nvm] covers a prefix of it and grows
+   geometrically on write, and every word past its end reads [0L].
+   Regions bump-allocate upward from address 0, so the touched prefix
+   is dense and a boot costs a few thousand words, not [size]. *)
 type t = {
-  nvm : int64 array;  (* the persistence domain *)
+  mutable nvm : int64 array;  (* words [0, Array.length nvm) of the domain *)
+  size : int;  (* logical capacity in words *)
   overlay : (int, line) Hashtbl.t;  (* dirty lines: line -> 8 words *)
   dirty_index : line Vec.t;  (* the overlay's values, in insertion order *)
   cache_lines : int;
@@ -39,7 +45,8 @@ type t = {
 let create ?(cache_lines = 1024) ~rng size =
   if size <= 0 then invalid_arg "Pmem.create: size must be positive";
   {
-    nvm = Array.make size 0L;
+    nvm = Array.make (Stdlib.min size 4096) 0L;
+    size;
     (* Pre-size past the eviction threshold so the overlay never
        rehashes mid-run (bounded to keep tiny memories cheap). *)
     overlay = Hashtbl.create (Stdlib.min (2 * cache_lines) 65536);
@@ -54,7 +61,7 @@ let create ?(cache_lines = 1024) ~rng size =
     event_hook = None;
   }
 
-let size t = Array.length t.nvm
+let size t = t.size
 let counters t = t.counters
 
 let set_event_hook t f = t.event_hook <- f
@@ -66,18 +73,31 @@ let set_event_hook t f = t.event_hook <- f
 let emit t ev = match t.event_hook with Some f -> f ev | None -> ()
 
 let check t addr =
-  if addr < 0 || addr >= Array.length t.nvm then
+  if addr < 0 || addr >= t.size then
     invalid_arg (Printf.sprintf "Pmem: address %d out of bounds" addr)
 
 let line_of addr = addr / words_per_line
 let offset_of addr = addr mod words_per_line
+
+(* The persisted word at a checked address. *)
+let nvm_word t addr = if addr < Array.length t.nvm then t.nvm.(addr) else 0L
+
+(* Make [nvm] cover [\[0, limit)], [limit <= size].  Only the prefix
+   below [hwm] can be non-zero, so only that much is copied. *)
+let cover t limit =
+  let n = Array.length t.nvm in
+  if limit > n then begin
+    let a = Array.make (Stdlib.min t.size (Stdlib.max limit (2 * n))) 0L in
+    Array.blit t.nvm 0 a 0 t.hwm;
+    t.nvm <- a
+  end
 
 let load t addr =
   check t addr;
   t.counters.loads <- t.counters.loads + 1;
   match Hashtbl.find_opt t.overlay (line_of addr) with
   | Some l -> l.words.(offset_of addr)
-  | None -> t.nvm.(addr)
+  | None -> nvm_word t addr
 
 (* The dirty-line index mirrors the overlay's key set in a flat vector
    so a uniformly random dirty line is one [Rng.int] away; removal
@@ -97,7 +117,8 @@ let index_remove t (l : line) =
 (* Copy a dirty line's words into the persistence domain. *)
 let persist_words t (l : line) =
   let base = l.lineno * words_per_line in
-  let limit = Stdlib.min words_per_line (Array.length t.nvm - base) in
+  let limit = Stdlib.min words_per_line (t.size - base) in
+  cover t (base + limit);
   Array.blit l.words 0 t.nvm base limit;
   if base + limit > t.hwm then t.hwm <- base + limit
 
@@ -128,7 +149,7 @@ let dirty_line t addr =
       let base = line * words_per_line in
       let words = Array.make words_per_line 0L in
       let limit = Stdlib.min words_per_line (Array.length t.nvm - base) in
-      Array.blit t.nvm base words 0 limit;
+      if limit > 0 then Array.blit t.nvm base words 0 limit;
       let l = { lineno = line; words; slot = 0 } in
       Hashtbl.add t.overlay line l;
       index_add t l;
@@ -143,6 +164,7 @@ let store t addr v =
 
 let poke t addr v =
   check t addr;
+  cover t (addr + 1);
   t.nvm.(addr) <- v;
   if addr + 1 > t.hwm then t.hwm <- addr + 1;
   match Hashtbl.find_opt t.overlay (line_of addr) with
@@ -173,7 +195,7 @@ let drain_pending t = t.pending <- 0
 
 let persisted t addr =
   check t addr;
-  t.nvm.(addr)
+  nvm_word t addr
 
 let is_dirty t addr =
   check t addr;
@@ -189,7 +211,10 @@ let crash t =
   Vec.clear t.dirty_index;
   t.pending <- 0
 
-let snapshot_persistent t = Array.copy t.nvm
+let snapshot_persistent t =
+  let a = Array.make t.size 0L in
+  Array.blit t.nvm 0 a 0 t.hwm;
+  a
 
 (* Every line is written back, so skip per-line index maintenance:
    persist in dirty-index (insertion) order — deterministic, no
@@ -205,8 +230,9 @@ let flush_all t =
   t.pending <- 0
 
 (* Return the arena to its just-created state (same size, same
-   cache-line budget, hook preserved) without reallocating the big
-   word array: only the prefix that was ever written needs zeroing. *)
+   cache-line budget, hook preserved), keeping the grown word array
+   for the next run: only the prefix that was ever written needs
+   zeroing. *)
 let reset ~rng t =
   Hashtbl.reset t.overlay;
   Vec.truncate t.dirty_index;

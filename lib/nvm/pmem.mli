@@ -35,11 +35,17 @@ type counters = {
 
 val create : ?cache_lines:int -> rng:Rng.t -> int -> t
 (** [create ~rng size] makes a persistent memory of [size] words,
-    zero-initialised and fully persisted.  [cache_lines] bounds the
-    number of distinct {e dirty} lines held in the volatile overlay
-    before pseudo-random eviction begins (default 1024). *)
+    zero-initialised and fully persisted.  [size] is the logical
+    capacity (every bounds check is against it); the backing storage
+    starts at [min size 4096] words and grows geometrically with the
+    high-water mark of persisted writes, so creating a large, mostly
+    unused memory is cheap.  [cache_lines] bounds the number of
+    distinct {e dirty} lines held in the volatile overlay before
+    pseudo-random eviction begins (default 1024). *)
 
 val size : t -> int
+(** The logical capacity in words, as given to {!create}. *)
+
 val counters : t -> counters
 
 (** {1 Persist-event observation}
@@ -122,7 +128,8 @@ val crash : t -> unit
     only persisted values.  Counters are preserved. *)
 
 val snapshot_persistent : t -> int64 array
-(** Copy of the persistence domain (for offline inspection in tests). *)
+(** Copy of the whole persistence domain, all {!size} words (for
+    offline inspection in tests). *)
 
 val flush_all : t -> unit
 (** Write back every dirty line and fence (test/setup helper: makes
@@ -132,8 +139,8 @@ val flush_all : t -> unit
 val reset : rng:Rng.t -> t -> unit
 (** Return the memory to its just-created state in place — empty
     overlay, zeroed persistence domain and counters, [rng] as the new
-    generator — keeping the word array, overlay storage and event hook.
-    Only the prefix of the persistence domain that was ever written is
+    generator — keeping the storage grown so far, the overlay storage
+    and the event hook.  Only the prefix below the high-water mark is
     re-zeroed, so resetting a mostly-untouched memory is cheap.  The
     arena-reuse path of the crash explorer calls this between
     injections instead of allocating a fresh memory. *)

@@ -18,6 +18,8 @@ let heap_base = off_roots + root_slots
 
 type t = { pm : Pmem.t; dirty_at_open : bool }
 
+exception Out_of_memory of { requested : int; bump : Pmem.addr; size : int }
+
 let persist_word pm addr =
   ignore (Pmem.clwb pm addr);
   ignore (Pmem.fence pm)
@@ -95,7 +97,9 @@ let alloc t n =
     | None ->
         let b = bump t in
         let base = b + 1 in
-        if base + n > Pmem.size pm then failwith "Region.alloc: out of memory";
+        let size = Pmem.size pm in
+        if base + n > size then
+          raise (Out_of_memory { requested = n; bump = b; size });
         Pmem.store pm b (Int64.of_int n);
         persist_word pm b;
         set_bump t (base + n);

@@ -46,10 +46,15 @@ val mark_clean : t -> unit
 
 val pmem : t -> Pmem.t
 
+exception Out_of_memory of { requested : int; bump : Pmem.addr; size : int }
+(** [alloc] found no free block of [requested] words and bump
+    allocation from [bump] (the next block header) would pass the end
+    of the [size]-word memory. *)
+
 val alloc : t -> int -> Pmem.addr
 (** [alloc t n] returns the base of [n] (> 0) fresh words.  First-fit
     over the persistent free list, falling back to bump allocation.
-    @raise Failure when the region is exhausted. *)
+    @raise Out_of_memory when the region is exhausted. *)
 
 val free : t -> Pmem.addr -> unit
 (** Return a block obtained from [alloc] to the free list. *)

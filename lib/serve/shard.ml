@@ -26,10 +26,11 @@ type outcome = {
 
 (* A machine serves millions of one-request threads, so the
    benchmark-sized per-thread logs would exhaust persistent memory:
-   shrink the log capacities to what a single request can need and
-   give the region 4M words.  [reap] between batches recycles the
-   finished threads' stacks and log arenas, so the footprint tracks
-   the batch size, not the requests served. *)
+   shrink the log capacities to what a single request can need.  The
+   4M-word region is a logical bound only (storage grows with use).
+   [reap] between batches recycles the finished threads' stacks and
+   log arenas, so the footprint tracks the batch size, not the
+   requests served. *)
 let vm_config (c : Config.t) ~seed =
   let base = Vm.config c.Config.scheme in
   {

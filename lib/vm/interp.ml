@@ -95,7 +95,7 @@ let create config program =
    recycled hashtables in a capacity-dependent order, and (c) the
    persistence domain is re-zeroed up to its high-water mark.  The
    crash explorer resets one arena machine per injection instead of
-   re-validating, re-instrumenting and re-allocating 8 MiB per run. *)
+   re-validating and re-instrumenting the program per run. *)
 let reset m =
   (* Quiesce observers first: the pmem forwarding hook stays installed
      but forwards to nothing, so reinitialisation traffic is exactly as
@@ -134,13 +134,10 @@ let stack_in_pmem (config : config) =
   | Scheme.Ido | Scheme.Justdo -> true
   | _ -> false
 
-let make_thread m ~tid ~fname ~args ~stack_base ~stack_in_pmem ~log_node
+let make_thread m ~tid ~fname ~func ~args ~stack_base ~stack_in_pmem ~log_node
     ~recovery_mode =
-  let func = Image.func m.image fname in
-  let regs = Array.make func.nregs 0L in
-  List.iteri
-    (fun i r -> regs.(r) <- (try List.nth args i with _ -> 0L))
-    func.params;
+  let regs = Array.make func.Ir.nregs 0L in
+  List.iter2 (fun r v -> regs.(r) <- v) func.params args;
   {
     tid;
     writer = Pwriter.create m.pmem m.config.latency;
@@ -173,6 +170,14 @@ let make_thread m ~tid ~fname ~args ~stack_base ~stack_in_pmem ~log_node
   }
 
 let spawn m ~fname ~args =
+  (* Call arity inside a program is checked at load (V132); this is
+     the one boundary where the host passes arguments in. *)
+  let func = Image.func m.image fname in
+  let arity = List.length func.Ir.params in
+  if List.length args <> arity then
+    invalid_arg
+      (Printf.sprintf "Vm.spawn: %s takes %d argument(s), got %d" fname arity
+         (List.length args));
   let tid = m.next_tid in
   m.next_tid <- tid + 1;
   let in_pmem = stack_in_pmem m.config in
@@ -233,7 +238,7 @@ let spawn m ~fname ~args =
   in
   ignore (Pwriter.take_cost w);
   let t =
-    make_thread m ~tid ~fname ~args ~stack_base ~stack_in_pmem:in_pmem
+    make_thread m ~tid ~fname ~func ~args ~stack_base ~stack_in_pmem:in_pmem
       ~log_node ~recovery_mode:false
   in
   (* A thread spawned now begins at the machine's current time, not at
@@ -1009,9 +1014,7 @@ let exec_intrinsic m (t : thread) fr dst intr args =
 let exec_call m (t : thread) fr dst fname args =
   let callee = Image.func m.image fname in
   let regs = Array.make callee.nregs 0L in
-  List.iteri
-    (fun i r -> regs.(r) <- (try eval fr (List.nth args i) with _ -> 0L))
-    callee.params;
+  List.iter2 (fun r a -> regs.(r) <- eval fr a) callee.params args;
   cost t (lat m).Latency.call;
   fr.idx <- fr.idx + 1;
   t.frames <-

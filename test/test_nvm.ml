@@ -212,6 +212,175 @@ let prop_snapshot_matches_persisted =
       |> List.for_all (fun b -> b))
 
 (* ------------------------------------------------------------------ *)
+(* Model equivalence: the demand-grown persistence domain against a
+   flat reference.  The reference keeps every word twice — [vol] (what
+   a load sees) and [per] (what a crash leaves) — plus a dirty flag per
+   line.  Evictions are the only nondeterminism; the event hook tells
+   the model which line went, before it goes. *)
+
+type op =
+  | Store of int * int64
+  | Poke of int * int64
+  | Clwb of int
+  | Fence
+  | Pressure of int  (* stores to 12 consecutive lines from here *)
+  | Crash
+  | Flush_all
+  | Reset
+
+let pp_op = function
+  | Store (a, v) -> Printf.sprintf "store %d %Ld" a v
+  | Poke (a, v) -> Printf.sprintf "poke %d %Ld" a v
+  | Clwb a -> Printf.sprintf "clwb %d" a
+  | Fence -> "fence"
+  | Pressure a -> Printf.sprintf "pressure %d" a
+  | Crash -> "crash"
+  | Flush_all -> "flush_all"
+  | Reset -> "reset"
+
+(* Storage starts at 4096 words and doubles: the sizes cover no growth,
+   every growth step, the cap, and partial last lines. *)
+let model_sizes = [ 5; 4096; 4101; 8195; 16_389 ]
+
+let edges size =
+  List.filter
+    (fun a -> a >= 0 && a < size)
+    [ 0; 7; 8; 4095; 4096; 4103; 8191; 8192; 16383; 16384; size - 8; size - 1 ]
+
+let op_addrs = function
+  | Store (a, _) | Poke (a, _) | Clwb a -> [ a ]
+  | Pressure a -> List.init 12 (fun i -> a + (i * Pmem.words_per_line))
+  | Fence | Crash | Flush_all | Reset -> []
+
+let gen_case =
+  let open QCheck.Gen in
+  oneofl model_sizes >>= fun size ->
+  let addr = frequency [ (1, oneofl (edges size)); (1, int_bound (size - 1)) ] in
+  let value = map Int64.of_int (int_range 0 999) in
+  let op =
+    frequency
+      [
+        (6, map2 (fun a v -> Store (a, v)) addr value);
+        (2, map2 (fun a v -> Poke (a, v)) addr value);
+        (3, map (fun a -> Clwb a) addr);
+        (2, return Fence);
+        (1, map (fun a -> Pressure a) addr);
+        (1, return Crash);
+        (1, return Flush_all);
+        (1, return Reset);
+      ]
+  in
+  map3
+    (fun cache_lines seed ops -> (size, cache_lines, seed, ops))
+    (int_range 1 4) small_nat
+    (list_size (int_range 1 50) op)
+
+let print_case (size, cache_lines, seed, ops) =
+  Printf.sprintf "size %d, %d cache lines, seed %d: %s" size cache_lines seed
+    (String.concat "; " (List.map pp_op ops))
+
+let prop_model_equivalence =
+  QCheck.Test.make ~name:"pmem agrees with a flat reference model" ~count:150
+    (QCheck.make ~print:print_case gen_case)
+    (fun (size, cache_lines, seed, ops) ->
+      let pm = mk ~cache_lines ~size ~seed () in
+      let wpl = Pmem.words_per_line in
+      let vol = Array.make size 0L and per = Array.make size 0L in
+      let dirty = Array.make ((size + wpl - 1) / wpl) false in
+      let pending = ref 0 in
+      let write_back line =
+        for a = line * wpl to Stdlib.min size ((line + 1) * wpl) - 1 do
+          per.(a) <- vol.(a)
+        done;
+        dirty.(line) <- false
+      in
+      Pmem.set_event_hook pm
+        (Some (function Pmem.Ev_evict a -> write_back (a / wpl) | _ -> ()));
+      let store a v =
+        Pmem.store pm a v;
+        vol.(a) <- v;
+        dirty.(a / wpl) <- true
+      in
+      let step = function
+        | Store (a, v) -> store a v
+        | Poke (a, v) ->
+            Pmem.poke pm a v;
+            vol.(a) <- v;
+            per.(a) <- v
+        | Clwb a ->
+            let was_dirty = dirty.(a / wpl) in
+            if Pmem.clwb pm a <> was_dirty then
+              QCheck.Test.fail_reportf "clwb %d: dirty mismatch" a;
+            if was_dirty then begin
+              write_back (a / wpl);
+              incr pending
+            end
+        | Fence ->
+            let n = Pmem.fence pm in
+            if n <> !pending then
+              QCheck.Test.fail_reportf "fence: %d pending, model %d" n !pending;
+            pending := 0
+        | Pressure a ->
+            List.iter
+              (fun b -> if b < size then store b (Int64.of_int (b + 1)))
+              (op_addrs (Pressure a))
+        | Crash ->
+            Pmem.crash pm;
+            Array.blit per 0 vol 0 size;
+            Array.fill dirty 0 (Array.length dirty) false;
+            pending := 0
+        | Flush_all ->
+            Pmem.flush_all pm;
+            Array.iteri (fun line d -> if d then write_back line) dirty;
+            pending := 0
+        | Reset ->
+            Pmem.reset ~rng:(Rng.create seed) pm;
+            Array.fill vol 0 size 0L;
+            Array.fill per 0 size 0L;
+            Array.fill dirty 0 (Array.length dirty) false;
+            pending := 0
+      in
+      let probes =
+        List.sort_uniq compare
+          (edges size
+          @ List.filter (fun a -> a < size) (List.concat_map op_addrs ops))
+      in
+      List.iter
+        (fun op ->
+          step op;
+          if Pmem.size pm <> size then QCheck.Test.fail_report "size moved";
+          List.iter
+            (fun a ->
+              if Pmem.load pm a <> vol.(a) then
+                QCheck.Test.fail_reportf "after %s: load %d = %Ld, model %Ld"
+                  (pp_op op) a (Pmem.load pm a) vol.(a);
+              if Pmem.persisted pm a <> per.(a) then
+                QCheck.Test.fail_reportf
+                  "after %s: persisted %d = %Ld, model %Ld" (pp_op op) a
+                  (Pmem.persisted pm a) per.(a))
+            probes;
+          if not (Array.for_all2 Int64.equal (Pmem.snapshot_persistent pm) per)
+          then QCheck.Test.fail_reportf "after %s: snapshot differs" (pp_op op))
+        ops;
+      true)
+
+(* A boot must not pay for the logical size: creating an 8M-word
+   memory allocates a few thousand words, not eight million. *)
+let test_create_is_demand_sized () =
+  let allocated () =
+    let minor, _, major = Gc.counters () in
+    minor +. major
+  in
+  let before = allocated () in
+  let pm = Pmem.create ~rng:(Rng.create 1) (1 lsl 23) in
+  let words = allocated () -. before in
+  Alcotest.(check int) "logical size" (1 lsl 23) (Pmem.size pm);
+  if words >= 65_536. then
+    Alcotest.failf "Pmem.create (1 lsl 23) allocated %.0f words" words;
+  Alcotest.(check int64) "last word reads zero" 0L
+    (Pmem.load pm ((1 lsl 23) - 1))
+
+(* ------------------------------------------------------------------ *)
 (* Vmem *)
 
 let test_vmem () =
@@ -251,6 +420,9 @@ let suites =
         Alcotest.test_case "bounds" `Quick test_bounds;
         qtest prop_flushed_survives_crash;
         qtest prop_snapshot_matches_persisted;
+        qtest prop_model_equivalence;
+        Alcotest.test_case "create is demand-sized" `Quick
+          test_create_is_demand_sized;
       ] );
     ( "nvm.vmem",
       [

@@ -63,9 +63,18 @@ let test_free_list_split () =
   Alcotest.(check bool) "no overlap" true (abs (b - c) >= 8)
 
 let test_alloc_exhaustion () =
-  let _, r = mk ~size:(Region.heap_base + 64) () in
-  Alcotest.check_raises "oom" (Failure "Region.alloc: out of memory") (fun () ->
-      ignore (Region.alloc r 1024))
+  (* Each 8-word block takes 9 words with its header: 11 fit in 100. *)
+  let size = Region.heap_base + 100 in
+  let _, r = mk ~size () in
+  for _ = 1 to 11 do
+    ignore (Region.alloc r 8)
+  done;
+  Alcotest.check_raises "oom"
+    (Region.Out_of_memory
+       { requested = 8; bump = Region.heap_base + (11 * 9); size })
+    (fun () -> ignore (Region.alloc r 8));
+  Alcotest.(check int) "failed alloc accounted nothing" (11 * 8)
+    (Region.words_allocated r)
 
 let test_roots () =
   let pm, r = mk () in
