@@ -1,13 +1,12 @@
 (** BasicAA-style alias analysis (Sec. IV-A-b).
 
-    Address expressions are resolved to [base + constant offset] where
-    the base is rooted at an allocation site ([alloca], [nv_alloc]), a
-    constant, or a parameter.  Resolution is {e per use}, through
-    {!Reaching}: a register re-assigned elsewhere still resolves
-    precisely at a use reached by a unique definition.  Pointers loaded
-    from memory and joins with several reaching definitions are
-    unknown.  Like LLVM's basicAA, the result is deliberately
-    conservative: unknown vs anything is a may-alias. *)
+    Address expressions are resolved by {!Sym} to [base + constant
+    offset].  This analysis compares only the bases rooted at an
+    allocation site ([alloca], [nv_alloc]), a constant, or a
+    parameter; root-slot contents, pointers loaded from memory and
+    joins with several reaching definitions are unknown.  Like LLVM's
+    basicAA, the result is deliberately conservative: unknown vs
+    anything is a may-alias. *)
 
 open Ido_ir
 
@@ -20,16 +19,3 @@ val may_alias : t -> Ir.pos -> Ir.pos -> bool
     at [p] be the word accessed by the one at [q]?  Positions must
     hold [Load]/[Store] instructions (or memory intrinsics, which are
     treated as unknown accesses of their space). *)
-
-type base =
-  | Alloca_site of int  (** block*2^20+idx of the defining alloca *)
-  | Heap_site of int  (** likewise, for [nv_alloc] *)
-  | Const of int64
-  | Param of int
-  | Unknown
-
-type expr = { base : base; delta : int }
-
-val resolve_access : t -> Ir.pos -> (Ir.space * expr) option
-(** Exposed for tests: the space and resolved address expression of
-    the memory operation at [pos]; [None] when not a memory op. *)

@@ -23,28 +23,17 @@ let block_transfer (b : Ir.block) live_out =
 let compute cfg =
   let f = Cfg.func cfg in
   let n = Array.length f.blocks in
-  let live_in = Array.make n Regset.empty in
-  let live_out = Array.make n Regset.empty in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    (* Process in reverse RPO for fast convergence. *)
-    List.iter
-      (fun b ->
-        let out =
-          List.fold_left
-            (fun acc s -> Regset.union acc live_in.(s))
-            Regset.empty (Cfg.succs cfg b)
-        in
-        let inn = block_transfer f.blocks.(b) out in
-        if not (Regset.equal out live_out.(b)) || not (Regset.equal inn live_in.(b))
-        then begin
-          live_out.(b) <- out;
-          live_in.(b) <- inn;
-          changed := true
-        end)
-      (List.rev (Cfg.reverse_postorder cfg))
-  done;
+  (* Backward: each block's solver input is its live-out.  Only
+     reachable blocks take part, so unreachable ones keep empty sets. *)
+  let reachable = List.rev (Cfg.reverse_postorder cfg) in
+  let live_out =
+    Dataflow.solve ~nblocks:n
+      ~seeds:(List.map (fun b -> (b, Regset.empty)) reachable)
+      ~edges:(fun b -> List.filter (Cfg.reachable cfg) (Cfg.preds cfg b))
+      ~join:Regset.union ~equal:Regset.equal
+      ~transfer:(fun b out -> block_transfer f.blocks.(b) out)
+    |> Array.map (Option.value ~default:Regset.empty)
+  in
   (* Materialize per-instruction live sets. *)
   let at =
     Array.init n (fun b ->
@@ -63,6 +52,10 @@ let compute cfg =
           arr.(i) <- !live
         done;
         arr)
+  in
+  let live_in =
+    Array.init n (fun b ->
+        if Cfg.reachable cfg b then at.(b).(0) else Regset.empty)
   in
   { cfg; block_live_in = live_in; block_live_out = live_out; at }
 

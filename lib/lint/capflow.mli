@@ -15,6 +15,7 @@
     a grant the optimizer deletes is exactly one the linter excuses. *)
 
 open Ido_ir
+open Ido_analysis
 open Ido_runtime
 
 type cls =

@@ -16,9 +16,14 @@ open Ido_runtime
 
 type t
 
-val dirties : Scheme.t -> Ir.instr -> bool
-(** May this instruction dirty in-FASE program data under [scheme]?
-    Shared with the optimizer's write-free-function test (O102). *)
+val write_free : Scheme.t -> Ir.func -> bool
+(** No instruction of the function can dirty in-FASE program data
+    under [scheme] — the precondition of the optimizer's write-free
+    FASE elision (O102), and the case {!Regioncheck} accepts with
+    every hook elided. *)
+
+val has_hooks : Ir.func -> bool
+(** The function carries at least one instrumentation hook. *)
 
 val compute : Scheme.t -> Ir.func -> t
 

@@ -22,8 +22,8 @@ let applicable = function
 let run scheme fname (f : Ir.func) =
   if
     (not (applicable scheme))
-    || (not (Analysis.has_hooks f))
-    || not (Analysis.write_free scheme f)
+    || (not (Ido_lint.Dirtyflow.has_hooks f))
+    || not (Ido_lint.Dirtyflow.write_free scheme f)
   then (f, [])
   else begin
     let first = ref None and count = ref 0 in

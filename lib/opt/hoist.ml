@@ -1,4 +1,5 @@
 open Ido_ir
+open Ido_analysis
 open Ido_lint
 
 (* O104: a grant hook that re-captures the same stable cell on every
@@ -112,7 +113,7 @@ let run scheme fname (f : Ir.func) =
                             Rewrite.vf ~code:"O104" ~func:fname ~pos:hook
                               "loop-invariant capture of %s hoisted to \
                                preheader block %d"
-                              (Analysis.cell_name cell) pre
+                              (Sym.to_string cell) pre
                             :: !rewrites
                       | _ -> ())
                 | _ -> ())
