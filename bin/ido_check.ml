@@ -719,21 +719,22 @@ let serve_crash_cmd =
         ~topology:(Ido_serve.Topology.static shards)
         ~batch ~requests ~zipf ~workload ~scheme ()
     in
-    (* The deprecated shim on purpose: this check pins the historical
-       single-crash output byte for byte. *)
-    let crash = Ido_serve.Serve.default_crash config in
+    let fault = Ido_serve.Fault.single_crash config in
     let cell =
       with_jobs jobs (fun pool ->
-          Ido_serve.Serve.run_cell ?pool ~chunk ~obs:true
-            ~fault:(Ido_serve.Fault.of_crash crash)
-            config)
+          Ido_serve.Serve.run_cell ?pool ~chunk ~obs:true ~fault config)
     in
     let pp_result = function Ok () -> "ok" | Error m -> "FAIL: " ^ m in
-    Printf.printf
-      "%s: crash on shard %d at request %d (+%d ns into its batch)\n"
-      (Ido_serve.Config.label config)
-      crash.Ido_serve.Fault.shard crash.Ido_serve.Fault.at_request
-      crash.Ido_serve.Fault.after_ns;
+    List.iter
+      (function
+        | Ido_serve.Fault.Crash crash ->
+            Printf.printf
+              "%s: crash on shard %d at request %d (+%d ns into its batch)\n"
+              (Ido_serve.Config.label config)
+              crash.Ido_serve.Fault.shard crash.Ido_serve.Fault.at_request
+              crash.Ido_serve.Fault.after_ns
+        | _ -> ())
+      fault.Ido_serve.Fault.events;
     List.iter
       (fun (o : Ido_serve.Shard.outcome) ->
         Printf.printf

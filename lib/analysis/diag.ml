@@ -19,30 +19,15 @@ let render d =
       Printf.sprintf "%s: [%s] %s at (%d,%d)" d.func d.code d.message p.Ir.blk
         p.Ir.idx
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json d =
   let pos =
     match d.pos with
     | None -> "null"
     | Some p -> Printf.sprintf "[%d,%d]" p.Ir.blk p.Ir.idx
   in
+  let esc = Ido_util.Json.escape in
   Printf.sprintf "{\"func\":\"%s\",\"pos\":%s,\"code\":\"%s\",\"message\":\"%s\"}"
-    (json_escape d.func) pos (json_escape d.code) (json_escape d.message)
+    (esc d.func) pos (esc d.code) (esc d.message)
 
 let compare a b =
   let c = String.compare a.func b.func in

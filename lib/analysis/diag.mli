@@ -4,8 +4,7 @@
     A diagnostic pins a finding to a function (and usually an
     instruction position) and carries a {e stable error code} — a short
     identifier like ["V106"] or ["L301"] that tests, mutation corpora
-    and CI greps can match without depending on message wording.  The
-    legacy [string list] APIs are renderings of these values. *)
+    and CI greps can match without depending on message wording. *)
 
 open Ido_ir
 
@@ -28,15 +27,13 @@ val vf :
 
 val render : t -> string
 (** ["func: [code] message at (b,i)"] — the canonical one-line form
-    used by the legacy [string list] APIs and the CLI. *)
+    used by the CLI. *)
 
 val json : t -> string
 (** One-line NDJSON object with the stable field order
     [func, pos, code, message]; [pos] is [[blk,idx]] or [null].
     Shared by [ido_check lint --json] and the optimizer's [O1xx]
     rewrite reports; byte stability is dune-rule-tested. *)
-
-val json_escape : string -> string
 
 val compare : t -> t -> int
 (** Order by function, position, code — the report order. *)

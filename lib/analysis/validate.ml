@@ -89,19 +89,6 @@ let check_func_diags ?(allow_hooks = false) (f : Ir.func) =
     List.rev !diags
   end
 
-(* The historical rendering: function name, message, position appended
-   with Printf's "(b,i)" form.  Kept byte-compatible via Diag.render
-   modulo the added [code] tag. *)
-let render_legacy (d : Diag.t) =
-  match d.pos with
-  | None -> d.func ^ ": " ^ d.message
-  | Some p -> Printf.sprintf "%s: %s at (%d,%d)" d.func d.message p.Ir.blk p.Ir.idx
-
-let check_func ?allow_hooks (f : Ir.func) =
-  match check_func_diags ?allow_hooks f with
-  | [] -> Ok ()
-  | ds -> Error (List.map render_legacy ds)
-
 let check_program_diags ?allow_hooks (p : Ir.program) =
   let diags = ref [] in
   let err ~func ~code fmt =
@@ -141,12 +128,15 @@ let check_program_diags ?allow_hooks (p : Ir.program) =
     p.funcs;
   List.rev !diags
 
-let check_program ?allow_hooks (p : Ir.program) =
-  match check_program_diags ?allow_hooks p with
-  | [] -> Ok ()
-  | ds -> Error (List.map render_legacy ds)
-
+(* The load-time failure text: one "func: message at (b,i)" line per
+   finding — the {!Diag.render} form without the code tag. *)
 let check_program_exn ?allow_hooks p =
-  match check_program ?allow_hooks p with
-  | Ok () -> ()
-  | Error es -> failwith (String.concat "\n" es)
+  let line (d : Diag.t) =
+    match d.pos with
+    | None -> d.func ^ ": " ^ d.message
+    | Some p ->
+        Printf.sprintf "%s: %s at (%d,%d)" d.func d.message p.Ir.blk p.Ir.idx
+  in
+  match check_program_diags ?allow_hooks p with
+  | [] -> ()
+  | ds -> failwith (String.concat "\n" (List.map line ds))

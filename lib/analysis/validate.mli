@@ -26,11 +26,6 @@ val check_program_diags : ?allow_hooks:bool -> Ir.program -> Diag.t list
 (** Per-function checks plus call-graph checks (targets exist, arity
     matches, function names unique; V130–V133). *)
 
-val check_func : ?allow_hooks:bool -> Ir.func -> (unit, string list) result
-(** {!check_func_diags} rendered to the legacy message strings. *)
-
-val check_program : ?allow_hooks:bool -> Ir.program -> (unit, string list) result
-(** {!check_program_diags} rendered to the legacy message strings. *)
-
 val check_program_exn : ?allow_hooks:bool -> Ir.program -> unit
-(** @raise Failure with all messages joined. *)
+(** @raise Failure with one ["func: message at (b,i)"] line per
+    {!check_program_diags} finding. *)

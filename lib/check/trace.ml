@@ -42,9 +42,9 @@ let footer_line ~events ~digest ~verdict ~consistency =
   Printf.sprintf
     {|{"type":"footer","events":%d,"digest":"%s","verdict":"%s","consistency":"%s"}|}
     events
-    (Ido_obs.Obs.json_escape digest)
-    (Ido_obs.Obs.json_escape (verdict_string verdict))
-    (Ido_obs.Obs.json_escape (result_string consistency))
+    (Ido_util.Json.escape digest)
+    (Ido_util.Json.escape (verdict_string verdict))
+    (Ido_util.Json.escape (result_string consistency))
 
 let save (tr : Engine.traced) path =
   let oc = open_out path in

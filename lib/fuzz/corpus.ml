@@ -43,7 +43,7 @@ let entry_to_ndjson e =
     (Input.json_fields e.e_input)
     (String.concat "," e.e_codes)
     e.e_digest
-    (Ido_obs.Obs.json_escape e.e_detail)
+    (Ido_util.Json.escape e.e_detail)
 
 let to_ndjson t =
   let buf = Buffer.create 4096 in

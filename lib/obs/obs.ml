@@ -135,22 +135,6 @@ let check t ~stores ~writebacks ~fences ~evictions =
 
 (* ---------- NDJSON ---------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let kind_label = function
   | Store _ -> "store"
   | Flush _ -> "flush"
@@ -200,19 +184,20 @@ let coverage_point ev =
   | Recovery_step { scheme; what } ->
       point 12 (strhash scheme lxor strhash what)
 
-let kind_payload = function
+let kind_payload =
+  let esc = Ido_util.Json.escape in
+  function
   | Store a | Flush a -> Printf.sprintf {|,"addr":%d|} a
   | Fence pending -> Printf.sprintf {|,"pending":%d|} pending
   | Evict a -> Printf.sprintf {|,"addr":%d|} a
   | Log_append { log; bytes } ->
-      Printf.sprintf {|,"log":"%s","bytes":%d|} (json_escape log) bytes
+      Printf.sprintf {|,"log":"%s","bytes":%d|} (esc log) bytes
   | Boundary { region; elided } ->
       Printf.sprintf {|,"region":%d,"elided":%b|} region elided
   | Lock_acquire l | Lock_release l -> Printf.sprintf {|,"lock":%d|} l
   | Fase_enter | Fase_exit | Crash -> ""
   | Recovery_step { scheme; what } ->
-      Printf.sprintf {|,"scheme":"%s","what":"%s"|} (json_escape scheme)
-        (json_escape what)
+      Printf.sprintf {|,"scheme":"%s","what":"%s"|} (esc scheme) (esc what)
 
 let event_to_ndjson ev =
   Printf.sprintf {|{"type":"event","seq":%d,"tid":%d,"fase":%d,"kind":"%s"%s}|}

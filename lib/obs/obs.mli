@@ -114,9 +114,6 @@ val coverage_point : event -> int
 
 (** {1 NDJSON} *)
 
-val json_escape : string -> string
-(** Escape a string for inclusion inside a JSON string literal. *)
-
 val kind_label : kind -> string
 val event_to_ndjson : event -> string
 (** One-line JSON object: [{"type":"event","seq":..,"tid":..,"fase":..,

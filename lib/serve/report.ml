@@ -16,20 +16,20 @@ let cell_json (c : Serve.cell) =
       o.Shard.failovers o.Shard.replicas_lost o.Shard.split_off
       o.Shard.merged_away o.Shard.recovery_ns o.Shard.unavail_ns
       o.Shard.max_stall_ns
-      (Ido_obs.Obs.json_escape (result_string o.Shard.oracle))
-      (Ido_obs.Obs.json_escape (result_string o.Shard.consistency))
+      (Ido_util.Json.escape (result_string o.Shard.oracle))
+      (Ido_util.Json.escape (result_string o.Shard.consistency))
   in
   Printf.sprintf
     ({|{%s,"fault":"%s",%s,"makespan_ns":%d,"mops":%.6f,|}
    ^^ {|"replayed":%d,"recovery_ns":%d,"unavail_ns":%d,"max_stall_ns":%d,|}
    ^^ {|"oracle":"%s","consistency":"%s","shards_detail":[%s]}|})
     (Config.json_fields c.Serve.config)
-    (Ido_obs.Obs.json_escape c.Serve.fault.Fault.label)
+    (Ido_util.Json.escape c.Serve.fault.Fault.label)
     (Lat.json_fields c.Serve.stats)
     c.Serve.makespan_ns c.Serve.mops c.Serve.replayed c.Serve.recovery_ns
     c.Serve.unavail_ns c.Serve.max_stall_ns
-    (Ido_obs.Obs.json_escape (result_string c.Serve.oracle))
-    (Ido_obs.Obs.json_escape (result_string c.Serve.consistency))
+    (Ido_util.Json.escape (result_string c.Serve.oracle))
+    (Ido_util.Json.escape (result_string c.Serve.consistency))
     (String.concat "," (List.map shard_json c.Serve.shards))
 
 let to_json cells =

@@ -107,9 +107,10 @@ let test_printer () =
 let prog_of f = { Ir.funcs = [ (f.Ir.name, f) ] }
 
 let expect_error ?(allow_hooks = false) f fragment =
-  match Validate.check_program ~allow_hooks (prog_of f) with
-  | Ok () -> Alcotest.failf "expected error mentioning %S" fragment
-  | Error msgs ->
+  match Validate.check_program_diags ~allow_hooks (prog_of f) with
+  | [] -> Alcotest.failf "expected error mentioning %S" fragment
+  | diags ->
+      let msgs = List.map (fun (d : Diag.t) -> d.Diag.message) diags in
       let found =
         List.exists
           (fun m ->
@@ -126,9 +127,11 @@ let expect_error ?(allow_hooks = false) f fragment =
 
 let test_validate_ok () =
   let f = simple_counter_fn () in
-  (match Validate.check_program (prog_of f) with
-  | Ok () -> ()
-  | Error es -> Alcotest.failf "unexpected: %s" (String.concat "; " es));
+  (match Validate.check_program_diags (prog_of f) with
+  | [] -> ()
+  | ds ->
+      Alcotest.failf "unexpected: %s"
+        (String.concat "; " (List.map Diag.render ds)));
   Validate.check_program_exn (prog_of f)
 
 let test_validate_unlock_without_lock () =
@@ -215,9 +218,11 @@ let test_validate_hooks_rejected () =
   f.Ir.blocks.(0).Ir.instrs <- [| Ir.Hook Ir.Hfase_enter |];
   expect_error f "unexpected hook";
   (* But accepted when instrumented output is being validated. *)
-  match Validate.check_program ~allow_hooks:true (prog_of f) with
-  | Ok () -> ()
-  | Error es -> Alcotest.failf "hooks should pass: %s" (String.concat ";" es)
+  match Validate.check_program_diags ~allow_hooks:true (prog_of f) with
+  | [] -> ()
+  | ds ->
+      Alcotest.failf "hooks should pass: %s"
+        (String.concat ";" (List.map Diag.render ds))
 
 let test_validate_call_graph () =
   let b, _ = Builder.create ~name:"f" ~nparams:0 in
@@ -232,21 +237,22 @@ let test_validate_call_graph () =
   Builder.call_void b "g" [ Ir.Imm 1L ];
   Builder.ret b None;
   let f2 = Builder.finish b in
-  (match Validate.check_program { Ir.funcs = [ ("f", f2); ("g", g) ] } with
-  | Ok () -> Alcotest.fail "arity mismatch accepted"
-  | Error _ -> ());
+  (match Validate.check_program_diags { Ir.funcs = [ ("f", f2); ("g", g) ] } with
+  | [] -> Alcotest.fail "arity mismatch accepted"
+  | _ -> ());
   (* Duplicate function names. *)
-  match Validate.check_program { Ir.funcs = [ ("g", g); ("g", g) ] } with
-  | Ok () -> Alcotest.fail "duplicate accepted"
-  | Error _ -> ()
+  match Validate.check_program_diags { Ir.funcs = [ ("g", g); ("g", g) ] } with
+  | [] -> Alcotest.fail "duplicate accepted"
+  | _ -> ()
 
 let test_validate_workloads () =
   List.iter
     (fun name ->
-      match Validate.check_program (Ido_workloads.Workload.named name) with
-      | Ok () -> ()
-      | Error es ->
-          Alcotest.failf "workload %s invalid: %s" name (String.concat "; " es))
+      match Validate.check_program_diags (Ido_workloads.Workload.named name) with
+      | [] -> ()
+      | ds ->
+          Alcotest.failf "workload %s invalid: %s" name
+            (String.concat "; " (List.map Diag.render ds)))
     Ido_workloads.Workload.names
 
 let suites =

@@ -227,6 +227,27 @@ let test_float_cell () =
   Alcotest.(check string) "hundreds" "123.5" (Render.float_cell 123.46);
   Alcotest.(check string) "thousands" "1235" (Render.float_cell 1234.6)
 
+let test_json_escape_bytes () =
+  for code = 0 to 255 do
+    let c = Char.chr code in
+    let expected =
+      match c with
+      | '"' -> {|\"|}
+      | '\\' -> {|\\|}
+      | '\n' -> {|\n|}
+      | '\r' -> {|\r|}
+      | '\t' -> {|\t|}
+      | c when code < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
+      | c -> String.make 1 c
+    in
+    Alcotest.(check string)
+      (Printf.sprintf "byte %d" code)
+      expected
+      (Ido_util.Json.escape (String.make 1 c))
+  done;
+  Alcotest.(check string) "concatenates" {|a\"b\u0001|}
+    (Ido_util.Json.escape "a\"b\001")
+
 let suites =
   [
     ( "util.rng",
@@ -268,4 +289,6 @@ let suites =
         Alcotest.test_case "series nan" `Quick test_render_series_nan;
         Alcotest.test_case "float cell" `Quick test_float_cell;
       ] );
+    ( "util.json",
+      [ Alcotest.test_case "escape every byte" `Quick test_json_escape_bytes ] );
   ]
