@@ -130,7 +130,7 @@ let primitive_tests =
 let region_analysis_test =
   let f = Ido_ir.Ir.find_func (Ido_workloads.Workload.named "olist") "list_put" in
   Test.make ~name:"fig8:region-formation(list_put)"
-    (Staged.stage (fun () -> ignore (Ido_instrument.Instrument.region_plan f)))
+    (Staged.stage (fun () -> ignore (Ido_analysis.Regions.plan f)))
 
 (* Table I's substrate: a full crash + recovery cycle. *)
 let recovery_test name scheme =

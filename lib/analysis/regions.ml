@@ -181,6 +181,10 @@ let compute cfg fase liveness alias =
     n_hitting = PosSet.cardinal hitting;
   }
 
+let plan (f : Ir.func) =
+  let cfg = Cfg.build f in
+  compute cfg (Fase.compute_exn cfg) (Liveness.compute cfg) (Alias.compute f)
+
 let cut_positions t = List.map (fun c -> c.pos) t.cuts
 
 (* Oracle for tests: forward walk from each WAR load; if the matching

@@ -46,6 +46,13 @@ val compute : Cfg.t -> Fase.t -> Liveness.t -> Alias.t -> t
 (** @raise Failure on an irreducible CFG (a retreating edge whose
     target does not dominate its source). *)
 
+val plan : Ir.func -> t
+(** {!compute} over a fresh CFG, FASE structure, liveness and alias
+    analysis of the function: the iDO region plan the instrumenter
+    emits and the linter re-derives.
+    @raise Failure on a malformed FASE structure or an irreducible
+    CFG. *)
+
 val cut_positions : t -> Ir.pos list
 
 val verify_no_war_within_regions : Cfg.t -> Fase.t -> Alias.t -> t -> bool

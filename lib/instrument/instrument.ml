@@ -2,13 +2,6 @@ open Ido_ir
 open Ido_analysis
 open Ido_runtime
 
-let region_plan (f : Ir.func) =
-  let cfg = Cfg.build f in
-  let fase = Fase.compute_exn cfg in
-  let liveness = Liveness.compute cfg in
-  let alias = Alias.compute f in
-  Regions.compute cfg fase liveness alias
-
 (* Rebuild every block, emitting for each instruction slot i:
      (cut hook at i)  (pre-hooks of instr i)  (instr i)  (post-hooks)
    where cuts exist only under iDO.  The slot at index = #instrs
@@ -76,7 +69,7 @@ let instrument_func scheme (f : Ir.func) =
     match scheme with
     | Scheme.Origin -> f
     | Scheme.Ido ->
-        let plan = region_plan f in
+        let plan = Regions.plan f in
         let cuts = Hashtbl.create 32 in
         List.iter
           (fun (c : Regions.cut) ->

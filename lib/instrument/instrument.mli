@@ -38,7 +38,3 @@ val instrument : ?lint:bool -> ?opt:bool -> Scheme.t -> Ir.program -> Ir.program
     ({!Ido_lint.Lint.lint_program}) as a post-pass and [Failure] is
     raised if any diagnostic fires — a self-check that the hooks just
     inserted satisfy their own contract. *)
-
-val region_plan : Ir.func -> Ido_analysis.Regions.t
-(** The iDO region plan of a function (exposed for region statistics
-    and tests). *)
