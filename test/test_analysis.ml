@@ -155,6 +155,43 @@ let test_alias_multidef_conservative () =
   Alcotest.(check bool) "multi-def conservative" true
     (Alias.may_alias al { Ir.blk = join; idx = 0 } { Ir.blk = join; idx = 1 })
 
+(* Sym names root-slot contents and loaded pointers, but the alias
+   analysis that decides region cuts must not trust them: distinct
+   offsets from such a base still may-alias. *)
+let test_alias_root_and_loaded_unknown () =
+  let b, _ = Builder.create ~name:"f" ~nparams:0 in
+  let r = Builder.intr b Ir.Root_get [ Ir.Imm 0L ] in
+  let q = Builder.load b Ir.Persistent (Ir.Reg r) 0 in     (* idx 1 *)
+  ignore (Builder.load b Ir.Persistent (Ir.Reg r) 1);      (* idx 2 *)
+  Builder.store b Ir.Persistent (Ir.Reg r) 2 (Ir.Imm 1L);  (* idx 3 *)
+  ignore (Builder.load b Ir.Persistent (Ir.Reg q) 0);      (* idx 4 *)
+  Builder.store b Ir.Persistent (Ir.Reg q) 1 (Ir.Imm 1L);  (* idx 5 *)
+  Builder.ret b None;
+  let f = Builder.finish b in
+  let p i = { Ir.blk = 0; idx = i } in
+  let sym = Sym.create f in
+  let name i = Option.map Sym.to_string (Sym.resolve_store_addr sym (p i)) in
+  Alcotest.(check (option string)) "root-derived name" (Some "root[0]+2") (name 3);
+  Alcotest.(check (option string)) "loaded name" (Some "*(root[0]+0)+1") (name 5);
+  let al = Alias.compute f in
+  Alcotest.(check bool) "root offsets may alias" true (Alias.may_alias al (p 2) (p 3));
+  Alcotest.(check bool) "loaded offsets may alias" true (Alias.may_alias al (p 4) (p 5))
+
+(* The worklist solver: union facts over a cycle reach the fixpoint,
+   and a block no seed reaches stays [None]. *)
+let test_dataflow_solve () =
+  let module S = Set.Make (Int) in
+  let succs = [| [ 1 ]; [ 2 ]; [ 1 ]; [ 2 ] |] in
+  let input =
+    Dataflow.solve ~nblocks:4 ~seeds:[ (0, S.empty) ]
+      ~edges:(fun b -> succs.(b))
+      ~join:S.union ~equal:S.equal ~transfer:S.add
+  in
+  let got = Array.map (Option.map S.elements) input in
+  Alcotest.(check (array (option (list int)))) "block inputs"
+    [| Some []; Some [ 0; 1; 2 ]; Some [ 0; 1; 2 ]; None |]
+    got
+
 let test_reaching_defs () =
   let f = loopy_fn () in
   let cfg = Cfg.build f in
@@ -422,6 +459,8 @@ let suites =
         Alcotest.test_case "per-use resolution" `Quick test_alias_per_use_resolution;
         Alcotest.test_case "loop-carried conservative" `Quick
           test_alias_loop_carried_conservative;
+        Alcotest.test_case "root and loaded bases unknown" `Quick
+          test_alias_root_and_loaded_unknown;
       ] );
     ( "analysis.reaching",
       [
@@ -443,4 +482,6 @@ let suites =
         Alcotest.test_case "workload plans sound" `Quick
           test_workload_region_plans_sound;
       ] );
+    ( "analysis.dataflow",
+      [ Alcotest.test_case "worklist fixpoint" `Quick test_dataflow_solve ] );
   ]
