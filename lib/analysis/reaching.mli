@@ -5,7 +5,7 @@
     definitions at the virtual position [param_pos] so that every use
     is reached by at least one definition in a validated program.
 
-    {!Alias} consumes this analysis to resolve address expressions
+    {!Sym} consumes this analysis to resolve address expressions
     per-use: a register with a {e unique} reaching definition at a use
     site resolves precisely even when it is re-assigned elsewhere in
     the function (builder code uses [assign] freely). *)
