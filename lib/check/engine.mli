@@ -6,7 +6,8 @@
     k-th event".  This engine
 
     + runs a workload once, recording that schedule;
-    + re-executes from scratch for each chosen index [k], aborting the
+    + re-executes the worker phase for each chosen index [k], from a
+      checkpoint of the machine taken after its init phase, aborting the
       machine at event [k] via a raising event hook, then crashes,
       recovers, and validates the image against the workload's pure
       model ({!Ido_workloads.Oracle});
@@ -79,6 +80,15 @@ val record : spec -> Ido_vm.Event.t array
     worker phase (setup/init events are excluded; they are made
     durable before workers start). *)
 
+type arena
+(** A reusable machine for a batch of runs of one program (see
+    {!val-arena}).  The first run boots it, runs the init phase and
+    checkpoints the quiescent result ({!Ido_vm.Vm.checkpoint}); every
+    later run restores that checkpoint ({!Ido_vm.Vm.restore}) instead
+    of re-validating, re-instrumenting and replaying init.  Runs on an
+    arena are byte-identical to runs on a fresh machine.  An arena is
+    not safe to share across domains. *)
+
 type injection = {
   index : int;
   event : string option;
@@ -87,9 +97,12 @@ type injection = {
   verdict : (unit, string) result;
 }
 
-val inject : spec -> int -> injection
+val inject : ?arena:arena -> spec -> int -> injection
 (** Re-execute deterministically, crash just before event [index]
-    (or at idle if [index] is past the schedule), recover, validate. *)
+    (or at idle if [index] is past the schedule), recover, validate.
+    With [arena] (made from [custom_of_spec spec], give or take
+    [c_validate]) the run reuses the arena's machine, as {!explore}
+    does; the result is the same. *)
 
 type report = {
   spec : spec;
@@ -121,8 +134,10 @@ val explore :
     domain pool one future per chunk of [chunk] consecutive indices
     ([chunk = 0], the default, derives a size from the budget and the
     pool width — see {!Ido_util.Pool.default_chunk}).  Each chunk
-    reuses one private arena machine across its injections
-    ({!Ido_vm.Vm.reset} between runs), so runs share nothing; results
+    reuses one private arena machine across its injections: it
+    checkpoints the machine once after the init phase
+    ({!Ido_vm.Vm.checkpoint}) and restores that checkpoint before every
+    run ({!Ido_vm.Vm.restore}), so runs share nothing; results
     are merged back in event-index order, making the report
     byte-identical to a serial exploration of the same spec at every
     [-j] and every chunk size.  Recording, the crash-free sanity run
@@ -189,8 +204,14 @@ val custom_of_spec : spec -> custom
 (** The spec's program/geometry with a vacuous validator (callers
     wanting the oracle verdict use {!run_traced}). *)
 
-val record_custom : custom -> Ido_vm.Event.t array
-(** {!record} over a custom program. *)
+val arena : custom -> arena
+(** An arena for [custom]'s program and geometry; nothing is built
+    until its first run. *)
+
+val record_custom : ?arena:arena -> custom -> Ido_vm.Event.t array
+(** {!record} over a custom program, on [arena] when given (it must
+    have been made from a custom that differs from this one at most in
+    [c_validate]; otherwise [Invalid_argument]). *)
 
 type probe = {
   pr_index : int option;  (** [None]: the run was crash-free *)
@@ -203,10 +224,12 @@ type probe = {
   pr_consistency : (unit, string) result;
 }
 
-val probe : ?index:int -> custom -> probe
+val probe : ?index:int -> ?arena:arena -> custom -> probe
 (** One fully-observed run of a custom program, crash-free or crashed
     just before event [index] — {!run_traced} without the registry
-    oracle.  Deterministic under the custom and [index]. *)
+    oracle.  Deterministic under the custom and [index].  With
+    [arena] (same rule as {!record_custom}) the run reuses its
+    machine; the result is the same. *)
 
 val heap_words : Ido_vm.Vm.t -> base:int -> len:int -> int64 array
 (** [len] persistent words starting at [base] — the raw material of a

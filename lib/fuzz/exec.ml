@@ -198,13 +198,13 @@ let run_dynamic ~opt (input : Input.t) =
       }
   | base_custom -> (
       match
-        let evs =
-          Engine.record_custom
-            { base_custom with Engine.c_validate = (fun _ -> Ok ()) }
-        in
+        (* One arena per input: validation, instrumentation and init
+           run once, not once per recording and probe. *)
+        let arena = Engine.arena base_custom in
+        let evs = Engine.record_custom ~arena base_custom in
         let len = Array.length evs in
         let free =
-          Engine.probe
+          Engine.probe ~arena
             { base_custom with Engine.c_validate = validate_crash_free }
         in
         let crashed_custom =
@@ -214,7 +214,7 @@ let run_dynamic ~opt (input : Input.t) =
           List.map
             (fun c ->
               let index = c mod (len + 1) in
-              (index, Engine.probe ~index crashed_custom))
+              (index, Engine.probe ~index ~arena crashed_custom))
             input.Input.crashes
         in
         (evs, len, free, crashed)

@@ -229,21 +229,41 @@ let flush_all t =
   Vec.truncate t.dirty_index;
   t.pending <- 0
 
-(* Return the arena to its just-created state (same size, same
-   cache-line budget, hook preserved), keeping the grown word array
-   for the next run: only the prefix that was ever written needs
-   zeroing. *)
-let reset ~rng t =
+type checkpoint = {
+  ck_words : int64 array;  (* the persisted prefix below [hwm] *)
+  ck_pending : int;
+  ck_rng : Rng.t;
+  ck_counters : counters;
+}
+
+let checkpoint t =
+  if Hashtbl.length t.overlay > 0 then
+    invalid_arg "Pmem.checkpoint: the memory has dirty lines";
+  {
+    ck_words = Array.sub t.nvm 0 t.hwm;
+    ck_pending = t.pending;
+    ck_rng = Rng.copy t.rng;
+    ck_counters = { t.counters with loads = t.counters.loads };  (* a copy *)
+  }
+
+(* Only words below the larger of the two high-water marks can be
+   non-zero: zero what was written above the checkpoint's mark, blit
+   the checkpoint's prefix back over the rest.  The word array (never
+   shorter than any earlier mark) and the overlay storage are kept for
+   the next run. *)
+let restore t ck =
+  let hwm = Array.length ck.ck_words in
   Hashtbl.reset t.overlay;
   Vec.truncate t.dirty_index;
-  if t.hwm > 0 then Array.fill t.nvm 0 t.hwm 0L;
-  t.hwm <- 0;
-  t.pending <- 0;
-  Rng.assign ~into:t.rng rng;
-  let c = t.counters in
-  c.loads <- 0;
-  c.stores <- 0;
-  c.clwbs <- 0;
-  c.writebacks <- 0;
-  c.fences <- 0;
-  c.evictions <- 0
+  if t.hwm > hwm then Array.fill t.nvm hwm (t.hwm - hwm) 0L;
+  Array.blit ck.ck_words 0 t.nvm 0 hwm;
+  t.hwm <- hwm;
+  t.pending <- ck.ck_pending;
+  Rng.assign ~into:t.rng ck.ck_rng;
+  let c = t.counters and c0 = ck.ck_counters in
+  c.loads <- c0.loads;
+  c.stores <- c0.stores;
+  c.clwbs <- c0.clwbs;
+  c.writebacks <- c0.writebacks;
+  c.fences <- c0.fences;
+  c.evictions <- c0.evictions

@@ -136,11 +136,23 @@ val flush_all : t -> unit
     the whole memory durable without charging anything).  Lines are
     persisted in dirty-index order — see {!dirty_linenos}. *)
 
-val reset : rng:Rng.t -> t -> unit
-(** Return the memory to its just-created state in place — empty
-    overlay, zeroed persistence domain and counters, [rng] as the new
-    generator — keeping the storage grown so far, the overlay storage
-    and the event hook.  Only the prefix below the high-water mark is
-    re-zeroed, so resetting a mostly-untouched memory is cheap.  The
-    arena-reuse path of the crash explorer calls this between
-    injections instead of allocating a fresh memory. *)
+(** {1 Checkpoints} *)
+
+type checkpoint
+(** An immutable copy of a clean memory: its persisted words, pending
+    write-back count, eviction generator and counters. *)
+
+val checkpoint : t -> checkpoint
+(** Capture the memory's state.  Only the prefix below the high-water
+    mark is copied, so a checkpoint of a mostly-untouched memory is
+    small.
+    @raise Invalid_argument when the overlay holds dirty lines. *)
+
+val restore : t -> checkpoint -> unit
+(** Return the memory, in place, to the state {!checkpoint} captured:
+    empty overlay, the checkpoint's persisted words (zero above them),
+    pending count, eviction generator and counters.  The storage grown
+    so far, the overlay storage and the event hook are kept.  The
+    checkpoint must have been taken of the same memory; it is not
+    changed, so it can be restored any number of times.  Runs after a
+    restore are byte-identical to runs from the checkpointed state. *)

@@ -30,3 +30,5 @@ let alloc t n =
   base
 
 let size t = t.used
+
+let copy t = { cells = Array.copy t.cells; used = t.used }

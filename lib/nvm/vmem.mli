@@ -18,3 +18,6 @@ val alloc : t -> int -> addr
 
 val size : t -> int
 (** Current high-water mark of allocated words. *)
+
+val copy : t -> t
+(** An independent copy: same contents and size, no shared storage. *)

@@ -17,14 +17,18 @@ val create : State.config -> Ir.program -> State.t
     scheme, and boot a machine with a freshly formatted persistent
     region. *)
 
+val checkpoint : State.t -> State.checkpoint
+(** Freeze a quiescent machine (every thread [Done], no dirty cache
+    line) — see {!Vm.checkpoint}.
+    @raise Invalid_argument otherwise. *)
+
+val restore : State.t -> State.checkpoint -> unit
+(** Return the machine in place to the state a {!checkpoint} of it
+    captured, removing any observers — see {!Vm.restore}. *)
+
 val reset : State.t -> unit
-(** Return the machine to the state {!create} left it in — same config,
-    same program, RNG re-seeded, persistent region re-formatted,
-    observers removed — while reusing every large allocation (the
-    instrumented image, the pmem word array, recycled tables).  Runs on
-    a reset machine are byte-identical to runs on a fresh one; existing
-    thread handles become invalid.  This is the arena-reuse path of the
-    crash explorer. *)
+(** {!restore} to the checkpoint {!create} takes of the machine it
+    boots. *)
 
 val spawn : State.t -> fname:string -> args:int64 list -> State.thread
 (** Start a thread at [fname]; it begins at the machine's current

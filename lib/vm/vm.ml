@@ -26,6 +26,11 @@ type run_outcome = [ `Idle | `Until | `Max_steps | `Deadlock ]
 exception Vm_error = Interp.Vm_error
 
 let create = Interp.create
+
+type checkpoint = State.checkpoint
+
+let checkpoint = Interp.checkpoint
+let restore = Interp.restore
 let reset = Interp.reset
 
 type thread = State.thread

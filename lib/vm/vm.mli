@@ -55,16 +55,40 @@ exception Vm_error of string
 
 val create : config -> Ir.program -> t
 (** Validate, instrument for the configured scheme, and boot a fresh
-    machine with a formatted persistent region. *)
+    machine with a formatted persistent region; the booted machine is
+    checkpointed for {!reset}. *)
+
+type checkpoint = State.checkpoint
+(** A frozen copy of a quiescent machine. *)
+
+val checkpoint : t -> checkpoint
+(** Capture the machine's state so that {!restore} can return to it.
+    The machine must be {e quiescent}: every thread finished and no
+    dirty cache line — the state right after an [init] phase has run
+    to completion and {!flush_all} made it durable.  The checkpoint
+    holds private copies of the persisted words, the generators, DRAM,
+    the lock table, the clocks and counters, the finished thread
+    records and the free lists; later runs do not change it.
+    @raise Invalid_argument when a thread is still runnable or blocked,
+    or when a cache line is dirty. *)
+
+val restore : t -> checkpoint -> unit
+(** Return the machine in place to the state {!checkpoint} captured,
+    whatever happened since — a crash, recovery, held locks, grown
+    memory.  Every mutable piece is copied back, so a checkpoint can be
+    restored any number of times and runs after each restore are
+    byte-identical to runs from the checkpointed state itself.
+    Previously obtained thread handles become invalid and any
+    tracer/event hook/obs sink is removed.  The checkpoint must have
+    been taken of this machine.  The crash explorer's arenas
+    checkpoint once after the durable setup phase and restore before
+    every run instead of replaying that phase. *)
 
 val reset : t -> unit
-(** Return the machine to its just-{!create}d state in place, reusing
-    the instrumented image and every large allocation.  Subsequent runs
-    are byte-identical to runs on a fresh machine built from the same
-    config and program; previously obtained thread handles become
-    invalid and any tracer/event hook/obs sink is removed.  Hot paths
-    that boot thousands of identical machines (the crash explorer's
-    per-chunk arenas) call this instead of {!create}. *)
+(** {!restore} to the checkpoint {!create} takes of the machine it
+    boots: runs on a reset machine are byte-identical to runs on a
+    fresh machine built from the same config and program, reusing the
+    instrumented image and every large allocation. *)
 
 type thread = State.thread
 

@@ -96,6 +96,102 @@ let differential_cases =
         (differential w))
     [ "stack"; "queue"; "olist"; "hmap"; "kvcache50"; "objstore"; "mlog" ]
 
+let pmem_counters m =
+  let c = Ido_nvm.Pmem.counters (Vm.pmem m) in
+  Ido_nvm.Pmem.(
+    [ c.loads; c.stores; c.clwbs; c.writebacks; c.fences; c.evictions ])
+
+(* The arena path (checkpoint once after init, restore per run) must
+   be indistinguishable from a fresh machine per run: the same
+   injection record, durable image and pmem counters.  One arena
+   serves every index in turn, so a run that leaks into the next one
+   (held locks, DRAM, a violating crash's torn image) shows up. *)
+let arena_matches_fresh (s : Engine.spec) ~extra () =
+  let seen = ref None in
+  let c =
+    {
+      (Engine.custom_of_spec s) with
+      Engine.c_validate =
+        (fun m ->
+          let pm = Vm.pmem m in
+          let mem =
+            { Ido_workloads.Oracle.load = Ido_nvm.Pmem.load pm;
+              size = Ido_nvm.Pmem.size pm }
+          in
+          let root = Ido_region.Region.get_root (Vm.region m) 0 in
+          seen :=
+            Some
+              ( Ido_workloads.Oracle.digest ~workload:s.Engine.workload ~root
+                  mem,
+                pmem_counters m );
+          Ok ());
+    }
+  in
+  let arena = Engine.arena c in
+  let image ?arena k =
+    seen := None;
+    ignore (Engine.probe ?arena ~index:k c : Engine.probe);
+    Option.get !seen
+  in
+  let total = Array.length (Engine.record s) in
+  let indices =
+    List.sort_uniq compare
+      ([ 0; total / 3; total / 2; (2 * total) / 3; total ] @ extra ())
+  in
+  let show (i : Engine.injection) =
+    Printf.sprintf "%d %s %s" i.Engine.index
+      (Option.value i.Engine.event ~default:"idle")
+      (match i.Engine.verdict with Ok () -> "ok" | Error m -> m)
+  in
+  List.iter
+    (fun k ->
+      let where = Printf.sprintf "index %d" k in
+      Alcotest.(check string)
+        (where ^ ": injection")
+        (show (Engine.inject s k))
+        (show (Engine.inject ~arena s k));
+      let d0, c0 = image k and d1, c1 = image ~arena k in
+      Alcotest.(check string) (where ^ ": durable image") d0 d1;
+      Alcotest.(check (list int)) (where ^ ": pmem counters") c0 c1)
+    indices
+
+let arena_spec scheme workload = spec ~scheme ~workload ~ops:12 ()
+
+(* Origin under the strict oracle with 4 cache lines tears its
+   updates: the explored counterexample and the index after it put a
+   violating injection right before a clean-slate comparison. *)
+let origin_strict =
+  spec ~scheme:Scheme.Origin ~workload:"stack" ~ops:25 ~cache_lines:4
+    ~strict:true ()
+
+let after_violation () =
+  match (Engine.explore origin_strict ~budget:60).Engine.counterexample with
+  | None -> Alcotest.fail "origin/stack survived the strict oracle"
+  | Some inj -> [ inj.Engine.index; inj.Engine.index + 1 ]
+
+let arena_cases =
+  List.map
+    (fun (scheme, workload) ->
+      Alcotest.test_case
+        (Printf.sprintf "%s/%s arena = fresh machine" (Scheme.name scheme)
+           workload)
+        `Quick
+        (arena_matches_fresh (arena_spec scheme workload) ~extra:(fun () ->
+             [])))
+    Scheme.
+      [
+        (Ido, "queue");
+        (Atlas, "hmap");
+        (Justdo, "stack");
+        (Mnemosyne, "kvcache50");
+        (Nvthreads, "mlog");
+        (Nvml, "objstore");
+      ]
+  @ [
+      Alcotest.test_case "origin/stack strict arena = fresh machine" `Quick
+        (arena_matches_fresh origin_strict ~extra:after_violation);
+    ]
+
 let suites =
   [
     ( "check.engine",
@@ -114,6 +210,7 @@ let suites =
           `Quick origin_counterexample;
         Alcotest.test_case "origin/stack passes prefix oracle" `Quick
           origin_prefix_clean;
-      ] );
+      ]
+      @ arena_cases );
     ("check.differential", differential_cases);
   ]

@@ -138,14 +138,16 @@ let test_flush_all_dirty_index_order () =
     (Pmem.load pm ((17 * Pmem.words_per_line) + 2))
 
 let test_reset_is_fresh () =
-  (* reset must be indistinguishable from create: same RNG stream, a
-     zeroed persistence domain, an empty overlay, zero counters. *)
-  let pm = mk () in
+  (* Restoring the checkpoint taken at create must be indistinguishable
+     from create: same RNG stream, a zeroed persistence domain, an
+     empty overlay, zero counters. *)
+  let pm = mk ~seed:5 () in
+  let boot = Pmem.checkpoint pm in
   Pmem.store pm 10 42L;
   ignore (Pmem.clwb pm 10);
   ignore (Pmem.fence pm);
   Pmem.store pm 900 7L;
-  Pmem.reset ~rng:(Rng.create 5) pm;
+  Pmem.restore pm boot;
   Alcotest.(check int64) "persisted word zeroed" 0L (Pmem.persisted pm 10);
   Alcotest.(check int64) "cached word gone" 0L (Pmem.load pm 900);
   Alcotest.(check int) "overlay empty" 0 (Pmem.dirty_lines pm);
@@ -153,20 +155,32 @@ let test_reset_is_fresh () =
   let c = Pmem.counters pm in
   Alcotest.(check int) "stores zeroed" 0 c.Pmem.stores;
   Alcotest.(check int) "clwbs zeroed" 0 c.Pmem.clwbs;
-  (* Same seed, same eviction choices: a reset memory replays the
-     exact pseudo-random eviction order of a fresh one. *)
+  (* Same seed, same eviction choices: a restored memory replays the
+     exact pseudo-random eviction order of a fresh one, even after
+     evictions consumed its generator.  The order itself is compared,
+     not only the surviving image, which a different stream matches
+     often. *)
   let fill pm =
+    let evicted = ref [] in
+    Pmem.set_event_hook pm
+      (Some
+         (function
+         | Pmem.Ev_evict a -> evicted := Int64.of_int a :: !evicted
+         | _ -> ()));
     for i = 0 to 63 do
       Pmem.store pm (i * 8) 1L
     done;
     Pmem.crash pm;
-    List.init 64 (fun i -> Pmem.load pm (i * 8))
+    List.rev !evicted @ List.init 64 (fun i -> Pmem.load pm (i * 8))
   in
   let fresh = fill (Pmem.create ~cache_lines:4 ~rng:(Rng.create 5) 4096) in
   let again =
-    let pm2 = mk ~cache_lines:4 ~seed:9 () in
-    Pmem.store pm2 100 3L;
-    Pmem.reset ~rng:(Rng.create 5) pm2;
+    let pm2 = mk ~cache_lines:4 ~seed:5 () in
+    let boot = Pmem.checkpoint pm2 in
+    for i = 0 to 11 do
+      Pmem.store pm2 (100 + (i * 8)) 3L
+    done;
+    Pmem.restore pm2 boot;
     fill pm2
   in
   Alcotest.(check (list int64)) "reset replays create's evictions" fresh again
@@ -284,6 +298,7 @@ let prop_model_equivalence =
     (QCheck.make ~print:print_case gen_case)
     (fun (size, cache_lines, seed, ops) ->
       let pm = mk ~cache_lines ~size ~seed () in
+      let boot = Pmem.checkpoint pm in
       let wpl = Pmem.words_per_line in
       let vol = Array.make size 0L and per = Array.make size 0L in
       let dirty = Array.make ((size + wpl - 1) / wpl) false in
@@ -334,7 +349,7 @@ let prop_model_equivalence =
             Array.iteri (fun line d -> if d then write_back line) dirty;
             pending := 0
         | Reset ->
-            Pmem.reset ~rng:(Rng.create seed) pm;
+            Pmem.restore pm boot;
             Array.fill vol 0 size 0L;
             Array.fill per 0 size 0L;
             Array.fill dirty 0 (Array.length dirty) false;
@@ -380,6 +395,42 @@ let test_create_is_demand_sized () =
   Alcotest.(check int64) "last word reads zero" 0L
     (Pmem.load pm ((1 lsl 23) - 1))
 
+let test_restore_written_checkpoint () =
+  (* A checkpoint of a written memory: restore brings back its words,
+     zeroes everything persisted after it (also past its high-water
+     mark), and rewinds counters, pending write-backs and the eviction
+     generator. *)
+  let pm = mk ~cache_lines:4 ~size:32_768 () in
+  Pmem.store pm 5000 22L;
+  Pmem.flush_all pm;
+  Pmem.store pm 3 11L;
+  Alcotest.check_raises "dirty memory"
+    (Invalid_argument "Pmem.checkpoint: the memory has dirty lines")
+    (fun () -> ignore (Pmem.checkpoint pm : Pmem.checkpoint));
+  ignore (Pmem.clwb pm 3);
+  let ck = Pmem.checkpoint pm in
+  let stores = (Pmem.counters pm).Pmem.stores in
+  Alcotest.(check int) "one write-back pending" 1 (Pmem.pending_flushes pm);
+  let evictions () =
+    for i = 0 to 15 do
+      Pmem.store pm (9000 + (i * 8)) 1L
+    done;
+    Pmem.crash pm;
+    List.init 16 (fun i -> Pmem.persisted pm (9000 + (i * 8)))
+  in
+  let first = evictions () in
+  Pmem.store pm 3 99L;
+  Pmem.store pm 20_000 5L;
+  Pmem.flush_all pm;
+  Pmem.restore pm ck;
+  Alcotest.(check int64) "word below the mark" 11L (Pmem.persisted pm 3);
+  Alcotest.(check int64) "word at the mark" 22L (Pmem.persisted pm 5000);
+  Alcotest.(check int64) "later word zeroed" 0L (Pmem.persisted pm 20_000);
+  Alcotest.(check int64) "evicted word zeroed" 0L (Pmem.persisted pm 9000);
+  Alcotest.(check int) "stores rewound" stores (Pmem.counters pm).Pmem.stores;
+  Alcotest.(check int) "pending rewound" 1 (Pmem.pending_flushes pm);
+  Alcotest.(check (list int64)) "same evictions" first (evictions ())
+
 (* ------------------------------------------------------------------ *)
 (* Vmem *)
 
@@ -423,6 +474,8 @@ let suites =
         qtest prop_model_equivalence;
         Alcotest.test_case "create is demand-sized" `Quick
           test_create_is_demand_sized;
+        Alcotest.test_case "restore a written checkpoint" `Quick
+          test_restore_written_checkpoint;
       ] );
     ( "nvm.vmem",
       [

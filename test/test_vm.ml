@@ -332,6 +332,134 @@ let test_deep_nesting_within_capacity () =
   (match Vm.run m with `Idle -> () | _ -> Alcotest.fail "stuck");
   Alcotest.(check int64) "increment applied" 1L (counter_value m)
 
+(* Checkpoint/restore fixture: [worker n] adds one plus DRAM word
+   5000 to the counter cell, n times under lock 1; [a] and [b] grow
+   DRAM and then deadlock on locks 1 and 2.  A restore that leaked a
+   held lock would block the workers; one that leaked DRAM would skew
+   the count. *)
+let restore_program () =
+  let dram = Ir.Imm 5000L in
+  let b, ps = Builder.create ~name:"worker" ~nparams:1 in
+  let n = List.nth ps 0 in
+  let cell = Wcommon.get_root b 0 in
+  Wcommon.for_loop b (Ir.Reg n) (fun _ ->
+      let d = Builder.load b Ir.Transient dram 0 in
+      Builder.lock b (Ir.Imm 1L);
+      let c = Builder.load b Ir.Persistent (Ir.Reg cell) 0 in
+      let c1 = Builder.bin b Ir.Add (Ir.Reg c) (Ir.Imm 1L) in
+      let c2 = Builder.bin b Ir.Add (Ir.Reg c1) (Ir.Reg d) in
+      Builder.store b Ir.Persistent (Ir.Reg cell) 0 (Ir.Reg c2);
+      Builder.unlock b (Ir.Imm 1L);
+      Wcommon.observe b (Ir.Imm 1L));
+  Builder.ret b None;
+  let worker = Builder.finish b in
+  let mk name first second =
+    let b, _ = Builder.create ~name ~nparams:1 in
+    Builder.store b Ir.Transient dram 0 (Ir.Imm 7L);
+    Builder.lock b (Ir.Imm first);
+    Builder.intr_void b Ir.Work [ Ir.Imm 10_000L ];
+    Builder.lock b (Ir.Imm second);
+    Builder.unlock b (Ir.Imm second);
+    Builder.unlock b (Ir.Imm first);
+    Builder.ret b None;
+    Builder.finish b
+  in
+  let init = List.assoc "init" (counter_program ()).Ir.funcs in
+  {
+    Ir.funcs =
+      [ ("init", init); ("worker", worker); ("a", mk "a" 1L 2L);
+        ("b", mk "b" 2L 1L) ];
+  }
+
+let booted scheme =
+  let m =
+    Vm.create
+      { (Vm.config scheme) with pmem_words = 1 lsl 16; undo_cap = 1 lsl 10 }
+      (restore_program ())
+  in
+  ignore (Vm.spawn m ~fname:"init" ~args:[]);
+  (match Vm.run m with `Idle -> () | _ -> Alcotest.fail "init stuck");
+  Vm.flush_all m;
+  m
+
+(* Everything a crash-free worker run leaves behind. *)
+let crash_free_run m =
+  ignore (Vm.spawn m ~fname:"worker" ~args:[ 20L ]);
+  ignore (Vm.spawn m ~fname:"worker" ~args:[ 20L ]);
+  (match Vm.run m with `Idle -> () | _ -> Alcotest.fail "workers stuck");
+  Vm.flush_all m;
+  let pm = Vm.pmem m in
+  let c = Ido_nvm.Pmem.counters pm in
+  ( Digest.to_hex
+      (Digest.string
+         (Marshal.to_string (Ido_nvm.Pmem.snapshot_persistent pm) [])),
+    Ido_nvm.Pmem.
+      [ c.loads; c.stores; c.clwbs; c.writebacks; c.fences; c.evictions ],
+    (Vm.clock m, Vm.total_ops m, counter_value m) )
+
+let check_same_run what expected got =
+  let image, counters, (clock, ops, count) = expected
+  and image', counters', (clock', ops', count') = got in
+  Alcotest.(check string) (what ^ ": durable image") image image';
+  Alcotest.(check (list int)) (what ^ ": pmem counters") counters counters';
+  Alcotest.(check int) (what ^ ": clock") clock clock';
+  Alcotest.(check int) (what ^ ": ops") ops ops';
+  Alcotest.(check int64) (what ^ ": count") count count'
+
+let test_checkpoint_rejects_busy_machine () =
+  let unfinished =
+    Invalid_argument "Vm.checkpoint: the machine has unfinished threads"
+  and dirty =
+    Invalid_argument "Vm.checkpoint: the machine has dirty cache lines"
+  in
+  let m = booted Scheme.Ido in
+  ignore (Vm.spawn m ~fname:"worker" ~args:[ 1L ]);
+  Alcotest.check_raises "runnable thread" unfinished (fun () ->
+      ignore (Vm.checkpoint m : Vm.checkpoint));
+  let m = booted Scheme.Ido in
+  ignore (Vm.spawn m ~fname:"a" ~args:[ 0L ]);
+  ignore (Vm.spawn m ~fname:"b" ~args:[ 0L ]);
+  (match Vm.run m with
+  | `Deadlock -> ()
+  | _ -> Alcotest.fail "expected deadlock");
+  Alcotest.check_raises "blocked threads" unfinished (fun () ->
+      ignore (Vm.checkpoint m : Vm.checkpoint));
+  let m = booted Scheme.Ido in
+  Ido_nvm.Pmem.store (Vm.pmem m) 100 1L;
+  Alcotest.check_raises "dirty line" dirty (fun () ->
+      ignore (Vm.checkpoint m : Vm.checkpoint))
+
+let test_restore_after_mid_run_crash () =
+  List.iter
+    (fun scheme ->
+      let name = Scheme.name scheme in
+      let fresh = crash_free_run (booted scheme) in
+      let m = booted scheme in
+      let ck = Vm.checkpoint m in
+      check_same_run (name ^ " restored at once") fresh
+        (Vm.restore m ck;
+         crash_free_run m);
+      (* Deadlocked: both locks held, DRAM grown, threads blocked. *)
+      Vm.restore m ck;
+      ignore (Vm.spawn m ~fname:"a" ~args:[ 0L ]);
+      ignore (Vm.spawn m ~fname:"b" ~args:[ 0L ]);
+      (match Vm.run m with
+      | `Deadlock -> ()
+      | _ -> Alcotest.fail "expected deadlock");
+      Vm.restore m ck;
+      check_same_run (name ^ " after deadlock") fresh (crash_free_run m);
+      (* Crashed inside a FASE holding lock 1, then recovered. *)
+      Vm.restore m ck;
+      ignore (Vm.spawn m ~fname:"a" ~args:[ 0L ]);
+      (match Vm.run ~until:5_000 m with
+      | `Until -> ()
+      | _ -> Alcotest.fail "expected `Until");
+      Vm.crash m;
+      ignore (Vm.recover m : Ido_vm.Recover.stats);
+      Vm.restore m ck;
+      check_same_run (name ^ " after crash") fresh (crash_free_run m))
+    Scheme.[ Ido; Atlas; Justdo ]
+
 let suites =
   [
     ( "vm",
@@ -357,5 +485,9 @@ let suites =
         Alcotest.test_case "lock array overflow" `Quick test_lock_array_overflow;
         Alcotest.test_case "16 nested locks" `Quick test_deep_nesting_within_capacity;
         Alcotest.test_case "spawn arity" `Quick test_spawn_arity;
+        Alcotest.test_case "checkpoint rejects a busy machine" `Quick
+          test_checkpoint_rejects_busy_machine;
+        Alcotest.test_case "restore after a mid-run crash" `Quick
+          test_restore_after_mid_run_crash;
       ] );
   ]
