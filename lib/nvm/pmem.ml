@@ -19,21 +19,25 @@ type event =
   | Ev_fence
   | Ev_evict of addr
 
-(* A dirty line knows its own number and its slot in [dirty_index],
-   so index maintenance on the write-back path touches no hashtable at
-   all — only the vector. *)
-type line = { lineno : int; words : int64 array; mutable slot : int }
-
 (* The persistence domain is [size] words, but only [\[0, hwm)] can
    hold anything other than zero: [nvm] covers a prefix of it and grows
    geometrically on write, and every word past its end reads [0L].
    Regions bump-allocate upward from address 0, so the touched prefix
-   is dense and a boot costs a few thousand words, not [size]. *)
+   is dense and a boot costs a few thousand words, not [size].
+
+   The overlay is three flat pieces, none hashed: dirty slot [i < n]
+   holds the 8 words of line [slot_line.(i)] at [\[8i, 8i + 8)] of
+   [slots], and [slot_of.(line)] is that slot, or -1 for a clean line
+   (as is every line past the array's end).  Slots [\[0, n)] are the
+   dirty-line index: a uniformly random dirty line is one [Rng.int n]
+   away, and a write-back moves the last slot into the freed one. *)
 type t = {
-  mutable nvm : int64 array;  (* words [0, Array.length nvm) of the domain *)
+  mutable nvm : Words.t;  (* words [0, Words.length nvm) of the domain *)
   size : int;  (* logical capacity in words *)
-  overlay : (int, line) Hashtbl.t;  (* dirty lines: line -> 8 words *)
-  dirty_index : line Vec.t;  (* the overlay's values, in insertion order *)
+  mutable slots : Words.t;
+  mutable slot_line : int array;
+  mutable slot_of : int array;  (* grows on demand, capped at ceil(size/8) *)
+  mutable n : int;  (* dirty lines *)
   cache_lines : int;
   rng : Rng.t;
   counters : counters;
@@ -44,13 +48,18 @@ type t = {
 
 let create ?(cache_lines = 1024) ~rng size =
   if size <= 0 then invalid_arg "Pmem.create: size must be positive";
+  let nvm_words = Stdlib.min size 4096 in
+  (* The slot buffer doubles on demand; [n] never passes
+     [max 1 cache_lines]. *)
+  let slot_cap = Stdlib.max 1 (Stdlib.min cache_lines 64) in
   {
-    nvm = Array.make (Stdlib.min size 4096) 0L;
+    nvm = Words.create nvm_words;
     size;
-    (* Pre-size past the eviction threshold so the overlay never
-       rehashes mid-run (bounded to keep tiny memories cheap). *)
-    overlay = Hashtbl.create (Stdlib.min (2 * cache_lines) 65536);
-    dirty_index = Vec.create ();
+    slots = Words.create (slot_cap * words_per_line);
+    slot_line = Array.make slot_cap 0;
+    slot_of =
+      Array.make ((nvm_words + words_per_line - 1) / words_per_line) (-1);
+    n = 0;
     cache_lines;
     rng;
     counters =
@@ -64,13 +73,12 @@ let create ?(cache_lines = 1024) ~rng size =
 let size t = t.size
 let counters t = t.counters
 
-let set_event_hook t f = t.event_hook <- f
-
 (* The hook fires BEFORE the operation takes effect, so a hook that
    raises leaves the persistence domain exactly as a power failure at
    that instant would.  Simulator-side channels ([poke], [flush_all])
-   never fire it. *)
-let emit t ev = match t.event_hook with Some f -> f ev | None -> ()
+   never fire it.  Each site matches [event_hook] itself, so no event
+   is built when no hook is installed. *)
+let set_event_hook t f = t.event_hook <- f
 
 let check t addr =
   if addr < 0 || addr >= t.size then
@@ -79,112 +87,132 @@ let check t addr =
 let line_of addr = addr / words_per_line
 let offset_of addr = addr mod words_per_line
 
+(* The slot of a line, or -1 when it is clean. *)
+let slot t line = if line < Array.length t.slot_of then t.slot_of.(line) else -1
+
+let set_slot t line s =
+  let n = Array.length t.slot_of in
+  if line >= n then begin
+    let lines = (t.size + words_per_line - 1) / words_per_line in
+    let a = Array.make (Stdlib.min lines (Stdlib.max (line + 1) (2 * n))) (-1) in
+    Array.blit t.slot_of 0 a 0 n;
+    t.slot_of <- a
+  end;
+  t.slot_of.(line) <- s
+
 (* The persisted word at a checked address. *)
-let nvm_word t addr = if addr < Array.length t.nvm then t.nvm.(addr) else 0L
+let nvm_word t addr =
+  if addr < Words.length t.nvm then Words.get t.nvm addr else 0L
 
 (* Make [nvm] cover [\[0, limit)], [limit <= size].  Only the prefix
    below [hwm] can be non-zero, so only that much is copied. *)
 let cover t limit =
-  let n = Array.length t.nvm in
-  if limit > n then begin
-    let a = Array.make (Stdlib.min t.size (Stdlib.max limit (2 * n))) 0L in
-    Array.blit t.nvm 0 a 0 t.hwm;
-    t.nvm <- a
-  end
+  let n = Words.length t.nvm in
+  if limit > n then
+    t.nvm <-
+      Words.grow t.nvm (Stdlib.min t.size (Stdlib.max limit (2 * n))) ~keep:t.hwm
 
 let load t addr =
   check t addr;
   t.counters.loads <- t.counters.loads + 1;
-  match Hashtbl.find_opt t.overlay (line_of addr) with
-  | Some l -> l.words.(offset_of addr)
-  | None -> nvm_word t addr
+  let s = slot t (line_of addr) in
+  if s >= 0 then Words.get t.slots ((s * words_per_line) + offset_of addr)
+  else nvm_word t addr
 
-(* The dirty-line index mirrors the overlay's key set in a flat vector
-   so a uniformly random dirty line is one [Rng.int] away; removal
-   swaps the last slot in (order inside the vector is irrelevant — the
-   victim choice is random anyway). *)
-let index_add t (l : line) =
-  l.slot <- Vec.length t.dirty_index;
-  Vec.push t.dirty_index l
-
-let index_remove t (l : line) =
-  let last = Vec.pop t.dirty_index in
-  if last != l then begin
-    Vec.set t.dirty_index l.slot last;
-    last.slot <- l.slot
-  end
-
-(* Copy a dirty line's words into the persistence domain. *)
-let persist_words t (l : line) =
-  let base = l.lineno * words_per_line in
+(* Copy a dirty slot's words into the persistence domain. *)
+let persist_slot t s =
+  let base = t.slot_line.(s) * words_per_line in
   let limit = Stdlib.min words_per_line (t.size - base) in
   cover t (base + limit);
-  Array.blit l.words 0 t.nvm base limit;
+  Words.blit t.slots (s * words_per_line) t.nvm base limit;
   if base + limit > t.hwm then t.hwm <- base + limit
 
-(* Copy a dirty line into the persistence domain and drop it from the
-   overlay. *)
-let write_back t (l : line) =
-  persist_words t l;
-  Hashtbl.remove t.overlay l.lineno;
-  index_remove t l
+(* Persist a dirty slot and free it: the last slot moves into its
+   place. *)
+let write_back t s =
+  persist_slot t s;
+  t.slot_of.(t.slot_line.(s)) <- -1;
+  let last = t.n - 1 in
+  if s <> last then begin
+    let line = t.slot_line.(last) in
+    Words.blit t.slots (last * words_per_line) t.slots (s * words_per_line)
+      words_per_line;
+    t.slot_line.(s) <- line;
+    t.slot_of.(line) <- s
+  end;
+  t.n <- last
 
 let evict_random t =
-  (* Pick a uniformly random dirty line in O(1) via the index.  This is
-     the "arbitrary write-back order" of the paper. *)
-  let n = Vec.length t.dirty_index in
-  if n > 0 then begin
-    let l = Vec.get t.dirty_index (Rng.int t.rng n) in
-    emit t (Ev_evict (l.lineno * words_per_line));
-    write_back t l;
+  (* A uniformly random dirty line: the "arbitrary write-back order" of
+     the paper. *)
+  if t.n > 0 then begin
+    let s = Rng.int t.rng t.n in
+    (match t.event_hook with
+    | Some f -> f (Ev_evict (t.slot_line.(s) * words_per_line))
+    | None -> ());
+    write_back t s;
     t.counters.evictions <- t.counters.evictions + 1
   end
 
-let dirty_line t addr =
-  let line = line_of addr in
-  match Hashtbl.find_opt t.overlay line with
-  | Some l -> l.words
-  | None ->
-      if Hashtbl.length t.overlay >= t.cache_lines then evict_random t;
-      let base = line * words_per_line in
-      let words = Array.make words_per_line 0L in
-      let limit = Stdlib.min words_per_line (Array.length t.nvm - base) in
-      if limit > 0 then Array.blit t.nvm base words 0 limit;
-      let l = { lineno = line; words; slot = 0 } in
-      Hashtbl.add t.overlay line l;
-      index_add t l;
-      words
+(* The slot of [line], dirtying it (from its persisted words) if it was
+   clean. *)
+let dirty_slot t line =
+  let s = slot t line in
+  if s >= 0 then s
+  else begin
+    if t.n >= t.cache_lines then evict_random t;
+    let s = t.n in
+    let cap = Array.length t.slot_line in
+    if s = cap then begin
+      t.slots <-
+        Words.grow t.slots (2 * cap * words_per_line)
+          ~keep:(cap * words_per_line);
+      let a = Array.make (2 * cap) 0 in
+      Array.blit t.slot_line 0 a 0 cap;
+      t.slot_line <- a
+    end;
+    let base = line * words_per_line and dst = s * words_per_line in
+    let limit =
+      Stdlib.max 0 (Stdlib.min words_per_line (Words.length t.nvm - base))
+    in
+    if limit > 0 then Words.blit t.nvm base t.slots dst limit;
+    Words.zero t.slots (dst + limit) (words_per_line - limit);
+    t.slot_line.(s) <- line;
+    set_slot t line s;
+    t.n <- s + 1;
+    s
+  end
 
 let store t addr v =
   check t addr;
-  emit t (Ev_store addr);
+  (match t.event_hook with Some f -> f (Ev_store addr) | None -> ());
   t.counters.stores <- t.counters.stores + 1;
-  let words = dirty_line t addr in
-  words.(offset_of addr) <- v
+  let s = dirty_slot t (line_of addr) in
+  Words.set t.slots ((s * words_per_line) + offset_of addr) v
 
 let poke t addr v =
   check t addr;
   cover t (addr + 1);
-  t.nvm.(addr) <- v;
+  Words.set t.nvm addr v;
   if addr + 1 > t.hwm then t.hwm <- addr + 1;
-  match Hashtbl.find_opt t.overlay (line_of addr) with
-  | Some l -> l.words.(offset_of addr) <- v
-  | None -> ()
+  let s = slot t (line_of addr) in
+  if s >= 0 then Words.set t.slots ((s * words_per_line) + offset_of addr) v
 
 let clwb t addr =
   check t addr;
   t.counters.clwbs <- t.counters.clwbs + 1;
-  match Hashtbl.find_opt t.overlay (line_of addr) with
-  | Some l ->
-      emit t (Ev_clwb addr);
-      write_back t l;
-      t.counters.writebacks <- t.counters.writebacks + 1;
-      t.pending <- t.pending + 1;
-      true
-  | None -> false
+  let s = slot t (line_of addr) in
+  if s >= 0 then begin
+    (match t.event_hook with Some f -> f (Ev_clwb addr) | None -> ());
+    write_back t s;
+    t.counters.writebacks <- t.counters.writebacks + 1;
+    t.pending <- t.pending + 1;
+    true
+  end
+  else false
 
 let fence t =
-  emit t Ev_fence;
+  (match t.event_hook with Some f -> f Ev_fence | None -> ());
   t.counters.fences <- t.counters.fences + 1;
   let pending = t.pending in
   t.pending <- 0;
@@ -199,48 +227,46 @@ let persisted t addr =
 
 let is_dirty t addr =
   check t addr;
-  Hashtbl.mem t.overlay (line_of addr)
+  slot t (line_of addr) >= 0
 
-let dirty_lines t = Hashtbl.length t.overlay
+let dirty_lines t = t.n
 
-let dirty_linenos t =
-  List.map (fun (l : line) -> l.lineno) (Vec.to_list t.dirty_index)
+let dirty_linenos t = List.init t.n (fun i -> t.slot_line.(i))
+
+(* Empty the overlay: only the [n] live [slot_of] entries are reset. *)
+let drop_overlay t =
+  for i = 0 to t.n - 1 do
+    t.slot_of.(t.slot_line.(i)) <- -1
+  done;
+  t.n <- 0
 
 let crash t =
-  Hashtbl.reset t.overlay;
-  Vec.clear t.dirty_index;
+  drop_overlay t;
   t.pending <- 0
 
-let snapshot_persistent t =
-  let a = Array.make t.size 0L in
-  Array.blit t.nvm 0 a 0 t.hwm;
-  a
+let snapshot_persistent t = Array.init t.size (nvm_word t)
 
-(* Every line is written back, so skip per-line index maintenance:
-   persist in dirty-index (insertion) order — deterministic, no
-   Hashtbl iteration order involved, no intermediate list — then drop
-   the overlay and the index wholesale. *)
+(* Every line is written back, so skip the swap-with-last moves:
+   persist in slot order — deterministic, no hash order involved —
+   then drop the overlay wholesale. *)
 let flush_all t =
-  Vec.iter
-    (fun (l : line) ->
-      persist_words t l;
-      Hashtbl.remove t.overlay l.lineno)
-    t.dirty_index;
-  Vec.truncate t.dirty_index;
+  for i = 0 to t.n - 1 do
+    persist_slot t i
+  done;
+  drop_overlay t;
   t.pending <- 0
 
 type checkpoint = {
-  ck_words : int64 array;  (* the persisted prefix below [hwm] *)
+  ck_words : Words.t;  (* the persisted prefix below [hwm] *)
   ck_pending : int;
   ck_rng : Rng.t;
   ck_counters : counters;
 }
 
 let checkpoint t =
-  if Hashtbl.length t.overlay > 0 then
-    invalid_arg "Pmem.checkpoint: the memory has dirty lines";
+  if t.n > 0 then invalid_arg "Pmem.checkpoint: the memory has dirty lines";
   {
-    ck_words = Array.sub t.nvm 0 t.hwm;
+    ck_words = Words.sub t.nvm 0 t.hwm;
     ck_pending = t.pending;
     ck_rng = Rng.copy t.rng;
     ck_counters = { t.counters with loads = t.counters.loads };  (* a copy *)
@@ -248,15 +274,14 @@ let checkpoint t =
 
 (* Only words below the larger of the two high-water marks can be
    non-zero: zero what was written above the checkpoint's mark, blit
-   the checkpoint's prefix back over the rest.  The word array (never
+   the checkpoint's prefix back over the rest.  The word store (never
    shorter than any earlier mark) and the overlay storage are kept for
    the next run. *)
 let restore t ck =
-  let hwm = Array.length ck.ck_words in
-  Hashtbl.reset t.overlay;
-  Vec.truncate t.dirty_index;
-  if t.hwm > hwm then Array.fill t.nvm hwm (t.hwm - hwm) 0L;
-  Array.blit ck.ck_words 0 t.nvm 0 hwm;
+  let hwm = Words.length ck.ck_words in
+  drop_overlay t;
+  if t.hwm > hwm then Words.zero t.nvm hwm (t.hwm - hwm);
+  Words.blit ck.ck_words 0 t.nvm 0 hwm;
   t.hwm <- hwm;
   t.pending <- ck.ck_pending;
   Rng.assign ~into:t.rng ck.ck_rng;

@@ -1,13 +1,20 @@
 (** Simulated byte-addressable nonvolatile memory behind a volatile
     write-back cache.
 
-    The memory is an array of 8-byte words (one [int64] per word, so
-    writes are atomic at 8-byte granularity, matching the paper's
-    assumption in Sec. II-A).  Stores land in a volatile cache-line
-    overlay (8 words = 64 bytes per line); they reach the persistence
-    domain only when the line is explicitly written back ([clwb]) or
-    evicted.  Eviction order is pseudo-random — the "caches can write
-    data back in arbitrary order" hazard of Sec. I.
+    The memory is an array of 8-byte words, held unboxed in a flat
+    byte-backed store (writes are atomic at 8-byte granularity,
+    matching the paper's assumption in Sec. II-A).  Stores land in a
+    volatile cache-line overlay (8 words = 64 bytes per line); they
+    reach the persistence domain only when the line is explicitly
+    written back ([clwb]) or evicted.  Eviction order is
+    pseudo-random — the "caches can write data back in arbitrary
+    order" hazard of Sec. I.
+
+    The overlay is a slot table, not a hashtable: each dirty line
+    occupies one 8-word slot of a flat buffer, a line-indexed array
+    maps a line to its slot, and the live slots are the dirty-line
+    index.  A store, load or write-back costs a few array accesses
+    and allocates nothing.
 
     A {e crash} discards the overlay: the post-crash contents are
     exactly the words that had persisted. *)

@@ -1,27 +1,23 @@
 type addr = int
 
-type t = { mutable cells : int64 array; mutable used : int }
+type t = { mutable cells : Words.t; mutable used : int }
 
 let create ?(initial = 1024) () =
-  { cells = Array.make (Stdlib.max 16 initial) 0L; used = 0 }
+  { cells = Words.create (Stdlib.max 16 initial); used = 0 }
 
 let ensure t addr =
   if addr < 0 then invalid_arg "Vmem: negative address";
-  let n = Array.length t.cells in
-  if addr >= n then begin
-    let n' = Stdlib.max (addr + 1) (2 * n) in
-    let a = Array.make n' 0L in
-    Array.blit t.cells 0 a 0 n;
-    t.cells <- a
-  end;
+  let n = Words.length t.cells in
+  if addr >= n then
+    t.cells <- Words.grow t.cells (Stdlib.max (addr + 1) (2 * n)) ~keep:n;
   if addr >= t.used then t.used <- addr + 1
 
 let load t addr =
-  if addr < 0 || addr >= Array.length t.cells then 0L else t.cells.(addr)
+  if addr < 0 || addr >= Words.length t.cells then 0L else Words.get t.cells addr
 
 let store t addr v =
   ensure t addr;
-  t.cells.(addr) <- v
+  Words.set t.cells addr v
 
 let alloc t n =
   if n < 0 then invalid_arg "Vmem.alloc: negative size";
@@ -31,4 +27,4 @@ let alloc t n =
 
 let size t = t.used
 
-let copy t = { cells = Array.copy t.cells; used = t.used }
+let copy t = { cells = Words.copy t.cells; used = t.used }

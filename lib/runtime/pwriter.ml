@@ -1,3 +1,4 @@
+open Ido_util
 open Ido_nvm
 
 type t = {
@@ -5,9 +6,11 @@ type t = {
   lat : Latency.t;
   mutable cost : int;
   mutable pending : int;
+  seen : Lineset.t;  (* [clwb_lines]'s scratch set, kept across calls *)
 }
 
-let create pm lat = { pm; lat; cost = 0; pending = 0 }
+let create pm lat =
+  { pm; lat; cost = 0; pending = 0; seen = Lineset.create ~capacity:8 () }
 
 let pmem t = t.pm
 let latency t = t.lat
@@ -36,15 +39,17 @@ let clwb t a =
 (* One write-back per distinct line, in first-occurrence order: in this
    machine model a write-back is durable at issue, so callers sequence
    their addresses write-ahead (log payload before publish word) and a
-   crash between any two write-backs still sees a consistent prefix. *)
+   crash between any two write-backs still sees a consistent prefix.
+   The set is emptied on entry, not on exit: an event hook that raises
+   mid-list (a crash injection) must not leave members behind. *)
 let clwb_lines t addrs =
-  let seen = Hashtbl.create 8 in
+  Lineset.reset t.seen;
   List.iter
     (fun a ->
       let line = a / Pmem.words_per_line in
-      if not (Hashtbl.mem seen line) then begin
-        Hashtbl.replace seen line ();
-        clwb t (line * Pmem.words_per_line)
+      if not (Lineset.mem t.seen line) then begin
+        clwb t (line * Pmem.words_per_line);
+        Lineset.add t.seen line
       end)
     addrs
 

@@ -297,21 +297,26 @@ exception Vm_error of string
 
 let vm_error fmt = Printf.ksprintf (fun s -> raise (Vm_error s)) fmt
 
-type where = In_pmem of int | In_vmem of int
-
+(* The checked address of a memory operand.  Which memory it names is
+   [in_pmem]'s answer, kept apart so that resolving allocates nothing. *)
 let resolve m (t : thread) fr (space : Ir.space) base off =
   let a = eval_int fr base + off in
-  match space with
+  (match space with
   | Ir.Persistent ->
       if a < 0 || a >= Pmem.size m.pmem then
-        vm_error "persistent address %d out of range" a;
-      In_pmem a
-  | Ir.Transient -> In_vmem a
+        vm_error "persistent address %d out of range" a
+  | Ir.Transient -> ()
   | Ir.Stack ->
       if a < t.stack_base || a >= t.stack_base + m.config.stack_words then
         vm_error "stack address %d outside [%d,%d)" a t.stack_base
-          (t.stack_base + m.config.stack_words);
-      if t.stack_in_pmem then In_pmem a else In_vmem a
+          (t.stack_base + m.config.stack_words));
+  a
+
+let in_pmem (t : thread) (space : Ir.space) =
+  match space with
+  | Ir.Persistent -> true
+  | Ir.Transient -> false
+  | Ir.Stack -> t.stack_in_pmem
 
 let line_of a = a / Pmem.words_per_line
 
@@ -375,24 +380,24 @@ let page_copy_slot (t : thread) a =
   | Some i -> Some (i, a mod Page_log.page_words)
   | None -> None
 
-let do_load m (t : thread) where =
-  match where with
-  | In_pmem a when m.config.scheme = Scheme.Nvthreads && t.in_fase -> (
-      match page_copy_slot t a with
-      | Some (i, off) ->
-          Pwriter.load t.writer (Page_log.copy_word_addr t.log_node i ~off)
-      | None -> Pwriter.load t.writer a)
-  | In_pmem a -> (
-      match t.txn with
-      | Some txn -> (
-          try txn_load m t txn a
-          with Exit ->
-            abort_txn m t { txn with retries = txn.retries + 1 };
-            0L)
-      | None -> Pwriter.load t.writer a)
-  | In_vmem a ->
-      cost t (lat m).Latency.mem;
-      Vmem.load m.vmem a
+let do_load m (t : thread) space a =
+  if not (in_pmem t space) then begin
+    cost t (lat m).Latency.mem;
+    Vmem.load m.vmem a
+  end
+  else if m.config.scheme = Scheme.Nvthreads && t.in_fase then
+    match page_copy_slot t a with
+    | Some (i, off) ->
+        Pwriter.load t.writer (Page_log.copy_word_addr t.log_node i ~off)
+    | None -> Pwriter.load t.writer a
+  else
+    match t.txn with
+    | Some txn -> (
+        try txn_load m t txn a
+        with Exit ->
+          abort_txn m t { txn with retries = txn.retries + 1 };
+          0L)
+    | None -> Pwriter.load t.writer a
 
 let track_store m (t : thread) a =
   if t.in_fase then begin
@@ -403,52 +408,55 @@ let track_store m (t : thread) a =
     if m.config.scheme = Scheme.Justdo then t.pending_data_line <- line
   end
 
-let do_store m (t : thread) where v =
-  match where with
-  | In_pmem a when m.config.scheme = Scheme.Nvthreads && t.in_fase -> (
-      (* A hoisted Hpage_log (O104) armed the grant; the first in-FASE
-         store consumes it, with exec_page_log's page dedup. *)
-      if t.armed_grant = Grant_page then begin
-        t.armed_grant <- Grant_none;
-        let page = Page_log.page_of a in
-        if not (Hashtbl.mem t.touched_pages page) then begin
+let do_store m (t : thread) space a v =
+  if not (in_pmem t space) then begin
+    cost t (lat m).Latency.mem;
+    Vmem.store m.vmem a v
+  end
+  else if m.config.scheme = Scheme.Nvthreads && t.in_fase then begin
+    (* A hoisted Hpage_log (O104) armed the grant; the first in-FASE
+       store consumes it, with exec_page_log's page dedup. *)
+    if t.armed_grant = Grant_page then begin
+      t.armed_grant <- Grant_none;
+      let page = Page_log.page_of a in
+      if not (Hashtbl.mem t.touched_pages page) then begin
+        if obs_active m then
           obs_emit m
             (Ido_obs.Obs.Log_append
                { log = "page"; bytes = 8 * Page_log.entry_words });
-          let i = Page_log.log_page t.writer t.log_node ~page in
-          Hashtbl.replace t.touched_pages page i
-        end
-      end;
-      match page_copy_slot t a with
-      | Some (i, off) ->
-          Pwriter.store t.writer (Page_log.copy_word_addr t.log_node i ~off) v;
-          Page_log.mark_dirty t.writer t.log_node i ~off;
-          t.region_stores <- t.region_stores + 1
-      | None ->
-          (* The Hpage_log hook precedes every in-FASE store, so the
-             copy must exist. *)
-          vm_error "nvthreads: store to uncopied page at %d" a)
-  | In_pmem a -> (
-      match t.txn with
-      | Some txn -> txn_store m t txn a v
-      | None ->
-          (* A hoisted Hundo_store armed the grant: capture the old
-             value now, append-before-store exactly as the eager path
-             does. *)
-          if t.armed_grant = Grant_undo then begin
-            t.armed_grant <- Grant_none;
-            let old = Pwriter.load t.writer a in
+        let i = Page_log.log_page t.writer t.log_node ~page in
+        Hashtbl.replace t.touched_pages page i
+      end
+    end;
+    match page_copy_slot t a with
+    | Some (i, off) ->
+        Pwriter.store t.writer (Page_log.copy_word_addr t.log_node i ~off) v;
+        Page_log.mark_dirty t.writer t.log_node i ~off;
+        t.region_stores <- t.region_stores + 1
+    | None ->
+        (* The Hpage_log hook precedes every in-FASE store, so the
+           copy must exist. *)
+        vm_error "nvthreads: store to uncopied page at %d" a
+  end
+  else
+    match t.txn with
+    | Some txn -> txn_store m t txn a v
+    | None ->
+        (* A hoisted Hundo_store armed the grant: capture the old
+           value now, append-before-store exactly as the eager path
+           does. *)
+        if t.armed_grant = Grant_undo then begin
+          t.armed_grant <- Grant_none;
+          let old = Pwriter.load t.writer a in
+          if obs_active m then
             obs_emit m
               (Ido_obs.Obs.Log_append
                  { log = "undo"; bytes = 8 * Undo_log.record_words });
-            Undo_log.log_write t.writer t.log_node ~addr:a ~old
-              ~seq:(next_seq m)
-          end;
-          Pwriter.store t.writer a v;
-          track_store m t a)
-  | In_vmem a ->
-      cost t (lat m).Latency.mem;
-      Vmem.store m.vmem a v
+          Undo_log.log_write t.writer t.log_node ~addr:a ~old
+            ~seq:(next_seq m)
+        end;
+        Pwriter.store t.writer a v;
+        track_store m t a
 
 (* ------------------------------------------------------------------ *)
 (* Helpers for hooks that refer to a neighbouring instruction *)
@@ -548,11 +556,15 @@ let exec_region_boundary m (t : thread) fr (rh : Ir.region_hook) =
        idempotent; re-acquired locks tolerate self-holds and stolen
        releases).  The boundary's OutputSet is owed to the next
        persisted boundary so intRF stays current. *)
-    obs_emit m (Ido_obs.Obs.Boundary { region = rh.region_id; elided = true });
+    if obs_active m then
+      obs_emit m
+        (Ido_obs.Obs.Boundary { region = rh.region_id; elided = true });
     t.pending_out_regs <- rh.out_regs @ t.pending_out_regs
   end
   else begin
-    obs_emit m (Ido_obs.Obs.Boundary { region = rh.region_id; elided = false });
+    if obs_active m then
+      obs_emit m
+        (Ido_obs.Obs.Boundary { region = rh.region_id; elided = false });
     (* Step 1 (Sec. III-A): persist OutputSet — the closed region's
        output registers (all live-ins at the first boundary of the
        FASE, which must seed intRF), the OutputSets owed by skipped
@@ -569,9 +581,10 @@ let exec_region_boundary m (t : thread) fr (rh : Ir.region_hook) =
     in
     t.first_boundary <- false;
     t.pending_out_regs <- [];
-    obs_emit m
-      (Ido_obs.Obs.Log_append
-         { log = "intrf"; bytes = 8 * List.length regs_to_log });
+    if obs_active m then
+      obs_emit m
+        (Ido_obs.Obs.Log_append
+           { log = "intrf"; bytes = 8 * List.length regs_to_log });
     Ido_log.write_out_regs w node
       ~coalesce:m.config.coalesce_registers
       (List.map (fun r -> (r, fr.regs.(r))) regs_to_log);
@@ -620,8 +633,9 @@ let exec_fase_enter m (t : thread) _fr =
   | Scheme.Atlas | Scheme.Nvml ->
       (* Begin/end records need no fence of their own: they become
          durable with the next fenced record (or the commit flush). *)
-      obs_emit m
-        (Ido_obs.Obs.Log_append { log = "undo"; bytes = undo_record_bytes });
+      if obs_active m then
+        obs_emit m
+          (Ido_obs.Obs.Log_append { log = "undo"; bytes = undo_record_bytes });
       Undo_log.append_unfenced t.writer t.log_node Undo_log.Fase_begin ~a:0L
         ~b:0L ~seq:(next_seq m)
   | Scheme.Nvthreads -> Page_log.begin_fase t.writer t.log_node ~seq:(next_seq m)
@@ -630,7 +644,7 @@ let exec_fase_enter m (t : thread) _fr =
 let exec_fase_exit m (t : thread) _fr =
   t.armed_grant <- Grant_none;
   (match m.config.scheme with
-  | Scheme.Atlas ->
+  | Scheme.Atlas when obs_active m ->
       obs_emit m
         (Ido_obs.Obs.Log_append { log = "undo"; bytes = undo_record_bytes })
   | _ -> ());
@@ -698,8 +712,9 @@ let exec_lock_acquired m (t : thread) _fr =
       obs_emit m (Ido_obs.Obs.Log_append { log = "justdo-lock"; bytes = 24 });
       Justdo_log.record_acquire t.writer t.log_node ~holder
   | Scheme.Atlas ->
-      obs_emit m
-        (Ido_obs.Obs.Log_append { log = "undo"; bytes = undo_record_bytes });
+      if obs_active m then
+        obs_emit m
+          (Ido_obs.Obs.Log_append { log = "undo"; bytes = undo_record_bytes });
       Undo_log.append t.writer t.log_node Undo_log.Acquire
         ~a:(Int64.of_int holder) ~b:0L ~seq:(next_seq m)
   | _ -> ()
@@ -731,19 +746,18 @@ let exec_lock_release m (t : thread) fr ~outermost =
       Justdo_log.record_release t.writer t.log_node ~holder:(eval_int fr op)
   | Scheme.Atlas ->
       let op = upcoming_unlock m t fr in
-      obs_emit m
-        (Ido_obs.Obs.Log_append { log = "undo"; bytes = undo_record_bytes });
+      if obs_active m then
+        obs_emit m
+          (Ido_obs.Obs.Log_append { log = "undo"; bytes = undo_record_bytes });
       Undo_log.append t.writer t.log_node Undo_log.Release
         ~a:(eval fr op) ~b:0L ~seq:(next_seq m)
   | _ -> ()
 
 let exec_justdo_store m (t : thread) fr =
   let space, base, off, src = upcoming_store m t fr in
-  let a =
-    match resolve m t fr space base off with
-    | In_pmem a -> a
-    | In_vmem _ -> vm_error "justdo store hook on volatile location"
-  in
+  let a = resolve m t fr space base off in
+  if not (in_pmem t space) then
+    vm_error "justdo store hook on volatile location";
   (* The previous store must be durable before its log entry is
      overwritten: flush + fence (the second fence JUSTDO pays per
      store on volatile-cache machines). *)
@@ -777,14 +791,15 @@ let exec_justdo_store m (t : thread) fr =
 
 let exec_undo_store m (t : thread) fr =
   match upcoming_store_opt fr with
-  | Some (space, base, off, _src) -> (
-      match resolve m t fr space base off with
-      | In_pmem a ->
-          let old = Pwriter.load t.writer a in
+  | Some (space, base, off, _src) ->
+      let a = resolve m t fr space base off in
+      if in_pmem t space then begin
+        let old = Pwriter.load t.writer a in
+        if obs_active m then
           obs_emit m
             (Ido_obs.Obs.Log_append { log = "undo"; bytes = undo_record_bytes });
-          Undo_log.log_write t.writer t.log_node ~addr:a ~old ~seq:(next_seq m)
-      | In_vmem _ -> ())
+        Undo_log.log_write t.writer t.log_node ~addr:a ~old ~seq:(next_seq m)
+      end
   | None ->
       (* No store left in this block: a hoisted grant (O104).  Arm the
          slot; the consuming store captures its own address, so the
@@ -793,18 +808,19 @@ let exec_undo_store m (t : thread) fr =
 
 let exec_page_log m (t : thread) fr =
   match upcoming_store_opt fr with
-  | Some (space, base, off, _src) -> (
-      match resolve m t fr space base off with
-      | In_pmem a ->
-          let page = Page_log.page_of a in
-          if not (Hashtbl.mem t.touched_pages page) then begin
+  | Some (space, base, off, _src) ->
+      let a = resolve m t fr space base off in
+      if in_pmem t space then begin
+        let page = Page_log.page_of a in
+        if not (Hashtbl.mem t.touched_pages page) then begin
+          if obs_active m then
             obs_emit m
               (Ido_obs.Obs.Log_append
                  { log = "page"; bytes = 8 * Page_log.entry_words });
-            let i = Page_log.log_page t.writer t.log_node ~page in
-            Hashtbl.replace t.touched_pages page i
-          end
-      | In_vmem _ -> ())
+          let i = Page_log.log_page t.writer t.log_node ~page in
+          Hashtbl.replace t.touched_pages page i
+        end
+      end
   | None -> t.armed_grant <- Grant_page
 
 let exec_txn_begin m (t : thread) fr =
@@ -964,11 +980,11 @@ let exec_lock m (t : thread) fr op =
   match l.holder with
   | Some h when h = t.tid ->
       emit_event m (Event.Lock_acquire id);
-      obs_emit m (Ido_obs.Obs.Lock_acquire id);
+      if obs_active m then obs_emit m (Ido_obs.Obs.Lock_acquire id);
       fr.idx <- fr.idx + 1 (* recovery re-acquire / post-hand-off re-run *)
   | None ->
       emit_event m (Event.Lock_acquire id);
-      obs_emit m (Ido_obs.Obs.Lock_acquire id);
+      if obs_active m then obs_emit m (Ido_obs.Obs.Lock_acquire id);
       l.holder <- Some t.tid;
       l.acquired_at <- t.clock;
       fr.idx <- fr.idx + 1
@@ -984,7 +1000,7 @@ let exec_unlock m (t : thread) fr op =
   t.last_lock <- id;
   let l = lock_of m id in
   emit_event m (Event.Lock_release id);
-  obs_emit m (Ido_obs.Obs.Lock_release id);
+  if obs_active m then obs_emit m (Ido_obs.Obs.Lock_release id);
   cost t (lat m).Latency.lock_op;
   (match l.holder with
   | Some h when h = t.tid ->
@@ -1084,7 +1100,7 @@ let exec_instr m (t : thread) fr instr =
       justdo_penalty m t;
       fr.idx <- fr.idx + 1
   | Load { dst; space; base; off } ->
-      let v = do_load m t (resolve m t fr space base off) in
+      let v = do_load m t space (resolve m t fr space base off) in
       if t.rewound then t.rewound <- false
       else begin
         fr.regs.(dst) <- v;
@@ -1092,7 +1108,7 @@ let exec_instr m (t : thread) fr instr =
         fr.idx <- fr.idx + 1
       end
   | Store { space; base; off; src } ->
-      do_store m t (resolve m t fr space base off) (eval fr src);
+      do_store m t space (resolve m t fr space base off) (eval fr src);
       justdo_penalty m t;
       fr.idx <- fr.idx + 1
   | Alloca (d, n) ->

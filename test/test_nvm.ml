@@ -432,6 +432,291 @@ let test_restore_written_checkpoint () =
   Alcotest.(check (list int64)) "same evictions" first (evictions ())
 
 (* ------------------------------------------------------------------ *)
+(* Overlay model: [Pmem] against a reference overlay with the original
+   semantics — a hashtable of dirty line -> words and a swap-with-last
+   index list — driven through the same operations with the same
+   eviction generator.  Every observable must agree after every step:
+   loads, the persisted image, dirtiness, [dirty_linenos], the
+   counters, fence results and the exact sequence of hook events,
+   eviction victims included. *)
+
+module Ref_overlay = struct
+  type t = {
+    size : int;
+    cache_lines : int;
+    rng : Rng.t;
+    mutable per : int64 array;  (* the whole persistence domain *)
+    lines : (int, int64 array) Hashtbl.t;  (* dirty line -> its words *)
+    mutable index : int list;  (* dirty lines, swap-with-last order *)
+    mutable pending : int;
+    c : int array;  (* loads stores clwbs writebacks fences evictions *)
+    mutable events : Pmem.event list;  (* newest first *)
+  }
+
+  let create ~cache_lines ~seed size =
+    {
+      size; cache_lines; rng = Rng.create seed; per = Array.make size 0L;
+      lines = Hashtbl.create 8; index = []; pending = 0; c = Array.make 6 0;
+      events = [];
+    }
+
+  let wpl = Pmem.words_per_line
+  let bump r i = r.c.(i) <- r.c.(i) + 1
+  let emit r ev = r.events <- ev :: r.events
+
+  (* Remove position [i] of the index: the last element takes its
+     place. *)
+  let index_remove r i =
+    let a = Array.of_list r.index in
+    let last = Array.length a - 1 in
+    a.(i) <- a.(last);
+    r.index <- Array.to_list (Array.sub a 0 last)
+
+  let persist r line =
+    let words = Hashtbl.find r.lines line in
+    for a = line * wpl to Stdlib.min r.size ((line + 1) * wpl) - 1 do
+      r.per.(a) <- words.(a - (line * wpl))
+    done
+
+  let write_back r line =
+    persist r line;
+    let rec pos i = function
+      | l :: rest -> if l = line then i else pos (i + 1) rest
+      | [] -> assert false
+    in
+    index_remove r (pos 0 r.index);
+    Hashtbl.remove r.lines line
+
+  let store r a v =
+    emit r (Pmem.Ev_store a);
+    bump r 1;
+    let line = a / wpl in
+    if not (Hashtbl.mem r.lines line) then begin
+      let n = List.length r.index in
+      if n >= r.cache_lines && n > 0 then begin
+        let victim = List.nth r.index (Rng.int r.rng n) in
+        emit r (Pmem.Ev_evict (victim * wpl));
+        write_back r victim;
+        bump r 5
+      end;
+      Hashtbl.replace r.lines line
+        (Array.init wpl (fun i ->
+             let b = (line * wpl) + i in
+             if b < r.size then r.per.(b) else 0L));
+      r.index <- r.index @ [ line ]
+    end;
+    (Hashtbl.find r.lines line).(a mod wpl) <- v
+
+  let load r a =
+    bump r 0;
+    match Hashtbl.find_opt r.lines (a / wpl) with
+    | Some words -> words.(a mod wpl)
+    | None -> r.per.(a)
+
+  let poke r a v =
+    r.per.(a) <- v;
+    match Hashtbl.find_opt r.lines (a / wpl) with
+    | Some words -> words.(a mod wpl) <- v
+    | None -> ()
+
+  let clwb r a =
+    bump r 2;
+    if Hashtbl.mem r.lines (a / wpl) then begin
+      emit r (Pmem.Ev_clwb a);
+      write_back r (a / wpl);
+      bump r 3;
+      r.pending <- r.pending + 1;
+      true
+    end
+    else false
+
+  let fence r =
+    emit r Pmem.Ev_fence;
+    bump r 4;
+    let p = r.pending in
+    r.pending <- 0;
+    p
+
+  let drop r =
+    Hashtbl.reset r.lines;
+    r.index <- [];
+    r.pending <- 0
+
+  let flush_all r =
+    List.iter (persist r) r.index;
+    drop r
+
+  type checkpoint = int64 array * int * Rng.t * int array
+
+  let checkpoint r : checkpoint =
+    (Array.copy r.per, r.pending, Rng.copy r.rng, Array.copy r.c)
+
+  let restore r ((per, pending, rng, c) : checkpoint) =
+    drop r;
+    r.per <- Array.copy per;
+    r.pending <- pending;
+    Rng.assign ~into:r.rng rng;
+    Array.blit c 0 r.c 0 6
+end
+
+type oop =
+  | O_store of int * int64
+  | O_load of int
+  | O_poke of int * int64
+  | O_clwb of int
+  | O_fence
+  | O_crash
+  | O_flush_all
+  | O_checkpoint
+  | O_restore
+
+let pp_oop = function
+  | O_store (a, v) -> Printf.sprintf "store %d %Ld" a v
+  | O_load a -> Printf.sprintf "load %d" a
+  | O_poke (a, v) -> Printf.sprintf "poke %d %Ld" a v
+  | O_clwb a -> Printf.sprintf "clwb %d" a
+  | O_fence -> "fence"
+  | O_crash -> "crash"
+  | O_flush_all -> "flush_all"
+  | O_checkpoint -> "checkpoint"
+  | O_restore -> "restore"
+
+(* Sizes that are not a multiple of 8 (a short tail line); the large
+   one also crosses the word store's first growth step. *)
+let overlay_sizes = [ 13; 45; 4101 ]
+
+let gen_overlay_case =
+  let open QCheck.Gen in
+  oneofl overlay_sizes >>= fun size ->
+  (* Few lines, so that 1 to 4 cache lines evict often. *)
+  let addr =
+    frequency
+      [
+        (3, int_bound (Stdlib.min size 48 - 1));
+        (1, map (fun k -> size - 1 - k) (int_bound (Stdlib.min size 16 - 1)));
+      ]
+  in
+  let value = map Int64.of_int (int_range 1 999) in
+  let op =
+    frequency
+      [
+        (8, map2 (fun a v -> O_store (a, v)) addr value);
+        (3, map (fun a -> O_load a) addr);
+        (2, map2 (fun a v -> O_poke (a, v)) addr value);
+        (4, map (fun a -> O_clwb a) addr);
+        (2, return O_fence);
+        (1, return O_crash);
+        (1, return O_flush_all);
+        (1, return O_checkpoint);
+        (1, return O_restore);
+      ]
+  in
+  map3
+    (fun cache_lines seed ops -> (size, cache_lines, seed, ops))
+    (oneofl [ 1; 2; 4 ]) small_nat
+    (list_size (int_range 1 80) op)
+
+let print_overlay_case (size, cache_lines, seed, ops) =
+  Printf.sprintf "size %d, %d cache lines, seed %d: %s" size cache_lines seed
+    (String.concat "; " (List.map pp_oop ops))
+
+let prop_overlay_model =
+  QCheck.Test.make ~name:"overlay agrees with the hashtable reference"
+    ~count:300
+    (QCheck.make ~print:print_overlay_case gen_overlay_case)
+    (fun (size, cache_lines, seed, ops) ->
+      let pm = mk ~cache_lines ~size ~seed () in
+      let r = Ref_overlay.create ~cache_lines ~seed size in
+      let events = ref [] in
+      Pmem.set_event_hook pm (Some (fun ev -> events := ev :: !events));
+      let ck = ref (Pmem.checkpoint pm, Ref_overlay.checkpoint r) in
+      (* Every address an operation can reach. *)
+      let probes =
+        List.sort_uniq compare
+          (List.init (Stdlib.min size 48) Fun.id
+          @ List.init (Stdlib.min size 16) (fun k -> size - 1 - k))
+      in
+      let fail op fmt =
+        Printf.ksprintf
+          (fun s -> QCheck.Test.fail_reportf "after %s: %s" (pp_oop op) s)
+          fmt
+      in
+      let step op =
+        match op with
+        | O_store (a, v) ->
+            Pmem.store pm a v;
+            Ref_overlay.store r a v
+        | O_load a ->
+            let got = Pmem.load pm a and want = Ref_overlay.load r a in
+            if got <> want then fail op "load %Ld, model %Ld" got want
+        | O_poke (a, v) ->
+            Pmem.poke pm a v;
+            Ref_overlay.poke r a v
+        | O_clwb a ->
+            let got = Pmem.clwb pm a and want = Ref_overlay.clwb r a in
+            if got <> want then fail op "clwb %b, model %b" got want
+        | O_fence ->
+            let got = Pmem.fence pm and want = Ref_overlay.fence r in
+            if got <> want then fail op "fence %d, model %d" got want
+        | O_crash ->
+            Pmem.crash pm;
+            Ref_overlay.drop r
+        | O_flush_all ->
+            Pmem.flush_all pm;
+            Ref_overlay.flush_all r
+        | O_checkpoint -> (
+            match Pmem.checkpoint pm with
+            | c ->
+                if r.Ref_overlay.index <> [] then
+                  fail op "checkpoint of a dirty memory";
+                ck := (c, Ref_overlay.checkpoint r)
+            | exception Invalid_argument _ ->
+                if r.Ref_overlay.index = [] then
+                  fail op "checkpoint of a clean memory refused")
+        | O_restore ->
+            Pmem.restore pm (fst !ck);
+            Ref_overlay.restore r (snd !ck)
+      in
+      List.iter
+        (fun op ->
+          step op;
+          if !events <> r.Ref_overlay.events then
+            fail op "hook events differ (%d, model %d)" (List.length !events)
+              (List.length r.Ref_overlay.events);
+          if Pmem.dirty_linenos pm <> r.Ref_overlay.index then
+            fail op "dirty_linenos [%s], model [%s]"
+              (String.concat ";" (List.map string_of_int (Pmem.dirty_linenos pm)))
+              (String.concat ";" (List.map string_of_int r.Ref_overlay.index));
+          if Pmem.dirty_lines pm <> List.length r.Ref_overlay.index then
+            fail op "dirty_lines differs";
+          let c = Pmem.counters pm in
+          let got =
+            [| c.Pmem.loads; c.stores; c.clwbs; c.writebacks; c.fences;
+               c.evictions |]
+          in
+          if got <> r.Ref_overlay.c then fail op "counters differ";
+          if Pmem.pending_flushes pm <> r.Ref_overlay.pending then
+            fail op "pending differs";
+          List.iter
+            (fun a ->
+            if Pmem.persisted pm a <> r.Ref_overlay.per.(a) then
+              fail op "persisted %d = %Ld, model %Ld" a (Pmem.persisted pm a)
+                r.Ref_overlay.per.(a);
+            let dirty = Hashtbl.mem r.Ref_overlay.lines (a / Pmem.words_per_line) in
+            if Pmem.is_dirty pm a <> dirty then fail op "is_dirty %d" a)
+            probes)
+        ops;
+      (* Loads at every probe, counted on both sides alike. *)
+      List.iter
+        (fun a ->
+          let got = Pmem.load pm a and want = Ref_overlay.load r a in
+          if got <> want then
+            QCheck.Test.fail_reportf "final load %d = %Ld, model %Ld" a got
+              want)
+        probes;
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* Vmem *)
 
 let test_vmem () =
@@ -448,6 +733,47 @@ let test_vmem_grows () =
   let vm = Vmem.create ~initial:4 () in
   Vmem.store vm 1000 1L;
   Alcotest.(check int64) "grown" 1L (Vmem.load vm 1000)
+
+let test_vmem_out_of_range () =
+  let vm = Vmem.create ~initial:16 () in
+  Vmem.store vm 3 7L;
+  Alcotest.(check int64) "negative address" 0L (Vmem.load vm (-1));
+  Alcotest.(check int64) "far negative address" 0L (Vmem.load vm min_int);
+  Alcotest.(check int64) "past the storage" 0L (Vmem.load vm 16);
+  Alcotest.(check int64) "far past the storage" 0L (Vmem.load vm max_int);
+  Alcotest.check_raises "negative store"
+    (Invalid_argument "Vmem: negative address") (fun () ->
+      Vmem.store vm (-1) 1L);
+  Alcotest.(check int) "a refused store allocates nothing" 4 (Vmem.size vm)
+
+let test_vmem_growth_keeps_words () =
+  let vm = Vmem.create ~initial:16 () in
+  for a = 0 to 15 do
+    Vmem.store vm a (Int64.of_int (a + 100))
+  done;
+  (* Past the first doubling (16 -> 32), then past a second jump. *)
+  Vmem.store vm 16 1L;
+  Vmem.store vm 100 2L;
+  for a = 0 to 15 do
+    Alcotest.(check int64) "old word kept" (Int64.of_int (a + 100))
+      (Vmem.load vm a)
+  done;
+  Alcotest.(check int64) "new word" 1L (Vmem.load vm 16);
+  Alcotest.(check int64) "gap reads zero" 0L (Vmem.load vm 50);
+  Alcotest.(check int) "size" 101 (Vmem.size vm)
+
+let test_vmem_copy_independent () =
+  let vm = Vmem.create ~initial:16 () in
+  Vmem.store vm 2 5L;
+  let c = Vmem.copy vm in
+  Vmem.store vm 2 6L;
+  Vmem.store c 3 9L;
+  Vmem.store vm 40 1L;
+  Alcotest.(check int64) "copy keeps the old word" 5L (Vmem.load c 2);
+  Alcotest.(check int64) "original unaffected by the copy" 0L (Vmem.load vm 3);
+  Alcotest.(check int64) "copy unaffected by growth" 0L (Vmem.load c 40);
+  Alcotest.(check int) "copy's size" 4 (Vmem.size c);
+  Alcotest.(check int) "original's size" 41 (Vmem.size vm)
 
 let suites =
   [
@@ -476,10 +802,17 @@ let suites =
           test_create_is_demand_sized;
         Alcotest.test_case "restore a written checkpoint" `Quick
           test_restore_written_checkpoint;
+        qtest prop_overlay_model;
       ] );
     ( "nvm.vmem",
       [
         Alcotest.test_case "basic" `Quick test_vmem;
         Alcotest.test_case "grows" `Quick test_vmem_grows;
+        Alcotest.test_case "out-of-range addresses" `Quick
+          test_vmem_out_of_range;
+        Alcotest.test_case "growth keeps words" `Quick
+          test_vmem_growth_keeps_words;
+        Alcotest.test_case "copy is independent" `Quick
+          test_vmem_copy_independent;
       ] );
   ]

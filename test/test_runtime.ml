@@ -43,6 +43,41 @@ let test_pwriter_coalescing () =
   Pwriter.clwb_lines w [ 64; 128 ];
   Alcotest.(check int) "two lines" 2 (Pwriter.pending w)
 
+(* A crash injection raises out of an event hook in the middle of a
+   [clwb_lines] list.  The writer's dedup set must not carry the lines
+   written back before the raise into the next call: after a restore,
+   every listed line is written back again. *)
+let test_pwriter_clwb_lines_after_raise () =
+  let pm = Pmem.create ~rng:(Rng.create 1) 4096 in
+  let boot = Pmem.checkpoint pm in
+  let w = Pwriter.create pm Latency.default in
+  let addrs = [ 64; 72; 80 ] in
+  List.iter (fun a -> Pwriter.store w a 1L) addrs;
+  let clwbs = ref 0 in
+  Pmem.set_event_hook pm
+    (Some
+       (function
+       | Pmem.Ev_clwb _ ->
+           incr clwbs;
+           if !clwbs = 2 then raise Exit
+       | _ -> ()));
+  Alcotest.check_raises "hook raises on the second write-back" Exit (fun () ->
+      Pwriter.clwb_lines w addrs);
+  Pmem.set_event_hook pm None;
+  Pmem.restore pm boot;
+  ignore (Pwriter.take_cost w);
+  Pwriter.fence w;
+  List.iter (fun a -> Pwriter.store w a 2L) addrs;
+  Pwriter.clwb_lines w addrs;
+  Alcotest.(check int) "every line written back" 3 (Pwriter.pending w);
+  List.iter
+    (fun a ->
+      Alcotest.(check bool) (Printf.sprintf "line of %d clean" a) false
+        (Pmem.is_dirty pm a);
+      Alcotest.(check int64) (Printf.sprintf "word %d durable" a) 2L
+        (Pmem.persisted pm a))
+    addrs
+
 let test_pwriter_clean_clwb_free () =
   (* Regression (accounting reconciliation): a clwb that hits a clean
      line performs no write-back, so it must charge nothing and the
@@ -439,6 +474,8 @@ let suites =
         Alcotest.test_case "clean clwb free" `Quick test_pwriter_clean_clwb_free;
         Alcotest.test_case "independent fences" `Quick test_pwriter_fences_independent;
         Alcotest.test_case "latency knob" `Quick test_latency_knob;
+        Alcotest.test_case "clwb_lines after a raising hook" `Quick
+          test_pwriter_clwb_lines_after_raise;
       ] );
     ( "runtime.ido_log",
       [
