@@ -358,7 +358,7 @@ let selftime_cmd =
   in
   let budget_arg =
     Arg.(
-      value & opt int 120
+      value & opt int 40_000
       & info [ "budget" ] ~doc:"Crash-injection budget for the explore timing")
   in
   let baseline_arg =
@@ -388,8 +388,11 @@ let selftime_cmd =
       ignore (f ());
       Unix.gettimeofday () -. t0
     in
+    (* 600 ops per worker make a 79k-event schedule: at the default
+       budget the serial explore runs for seconds, long enough for its
+       speedup to mean something. *)
     let spec =
-      Ido_check.Engine.defaults ~scheme:Scheme.Ido ~workload:"queue" ()
+      Ido_check.Engine.defaults ~ops:600 ~scheme:Scheme.Ido ~workload:"queue" ()
     in
     Printf.eprintf "selftime: explore budget=%d serial...\n%!" budget;
     let explore_serial =

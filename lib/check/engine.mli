@@ -5,12 +5,15 @@
     run names every interesting power-failure instant: "just before the
     k-th event".  This engine
 
-    + runs a workload once, recording that schedule;
-    + re-executes the worker phase for each chosen index [k], from a
-      checkpoint of the machine taken after its init phase, aborting the
-      machine at event [k] via a raising event hook, then crashes,
-      recovers, and validates the image against the workload's pure
-      model ({!Ido_workloads.Oracle});
+    + runs a workload once, counting that schedule's events, and once
+      more, freezing the machine at evenly spaced points of it (a
+      {e ladder} of checkpoints);
+    + re-executes the worker phase for each chosen index [k] from the
+      last ladder rung at or before [k], aborting the machine at event
+      [k] via a raising event hook, then crashes, recovers, and
+      validates the image against the workload's pure model
+      ({!Ido_workloads.Oracle}) — so an injection replays at most the
+      events between two rungs, not the [k] before it;
     + enumerates all [N + 1] crash points when they fit the budget, and
       falls back to seeded stratified sampling when they do not;
     + shrinks any violation to the smallest failing index it can
@@ -85,9 +88,33 @@ type arena
     {!val-arena}).  The first run boots it, runs the init phase and
     checkpoints the quiescent result ({!Ido_vm.Vm.checkpoint}); every
     later run restores that checkpoint ({!Ido_vm.Vm.restore}) instead
-    of re-validating, re-instrumenting and replaying init.  Runs on an
-    arena are byte-identical to runs on a fresh machine.  An arena is
-    not safe to share across domains. *)
+    of re-validating, re-instrumenting and replaying init.  An arena
+    whose first run comes from a {!ladder} adopts the ladder's
+    post-init checkpoint instead.  Runs on an arena are byte-identical
+    to runs on a fresh machine.  An arena is not safe to share across
+    domains. *)
+
+type ladder
+(** Checkpoints of one worker phase ({!Ido_vm.Vm.checkpoint} with
+    [~prev]), taken while recording it: a rung just before event 0 and
+    one at the first step boundary after every [total / 256] events (at
+    least 16 apart), where the recording run pauses
+    ({!Ido_vm.Vm.run}[ ~pause]) and resumes unchanged.  Each rung holds
+    the persistent lines written since the one before it, and shares
+    with it every thread and DRAM page that did not change, so the
+    whole ladder costs little more than what the run writes.  Rungs are
+    capped at about 1 MiB: a ladder that outgrows the cap drops every
+    other rung and doubles its spacing.  A ladder refers
+    to no machine and never changes after recording: arenas on any
+    domain restore from it concurrently. *)
+
+val ladder : ?arena:arena -> spec -> ladder
+(** Run the worker phase twice, crash-free: once to count its events,
+    once to record the ladder.  On [arena] when given (made from
+    [custom_of_spec spec], give or take [c_validate]). *)
+
+val rungs : ladder -> int array
+(** The event index of every rung, ascending, starting at [0]. *)
 
 type injection = {
   index : int;
@@ -97,12 +124,22 @@ type injection = {
   verdict : (unit, string) result;
 }
 
-val inject : ?arena:arena -> spec -> int -> injection
+val inject :
+  ?arena:arena ->
+  ?ladder:ladder ->
+  ?inspect:(Ido_vm.Vm.t -> unit) ->
+  spec ->
+  int ->
+  injection
 (** Re-execute deterministically, crash just before event [index]
     (or at idle if [index] is past the schedule), recover, validate.
     With [arena] (made from [custom_of_spec spec], give or take
     [c_validate]) the run reuses the arena's machine, as {!explore}
-    does; the result is the same. *)
+    does; with [ladder] (recorded for the same spec) it starts from
+    the last rung at or before [index] instead of from event 0.  The
+    result is the same either way.  [inspect] sees the machine after a
+    successful recovery and final flush, before validation (tests
+    compare durable images through it). *)
 
 type report = {
   spec : spec;
@@ -130,19 +167,19 @@ val explore :
     [progress] receives [(done, planned)] after each injection
     (serial) or each completed chunk (pooled).
 
-    With [?pool] (size > 1) the injection runs are dispatched to the
-    domain pool one future per chunk of [chunk] consecutive indices
-    ([chunk = 0], the default, derives a size from the budget and the
-    pool width — see {!Ido_util.Pool.default_chunk}).  Each chunk
-    reuses one private arena machine across its injections: it
-    checkpoints the machine once after the init phase
-    ({!Ido_vm.Vm.checkpoint}) and restores that checkpoint before every
-    run ({!Ido_vm.Vm.restore}), so runs share nothing; results
-    are merged back in event-index order, making the report
-    byte-identical to a serial exploration of the same spec at every
-    [-j] and every chunk size.  Recording, the crash-free sanity run
-    and counterexample shrinking stay on the calling domain (on their
-    own arena).
+    Every injection starts from the {!ladder} recorded on the calling
+    domain.  With [?pool] (size > 1) the injection runs are dispatched
+    to the domain pool one future per chunk of [chunk] consecutive
+    indices ([chunk = 0], the default, derives a size from the budget
+    and the pool width — see {!Ido_util.Pool.default_chunk}).  Each
+    chunk reuses one private arena machine across its injections and
+    restores the shared, read-only ladder's rungs into it, so runs
+    share nothing mutable; results are merged back in event-index
+    order, making the report byte-identical to a serial exploration of
+    the same spec at every [-j] and every chunk size.  The crash-free
+    sanity run (which counts the schedule), the recording of the
+    ladder and counterexample shrinking stay on the calling domain (on
+    their own arena).
 
     Before exploring, a crash-free run is validated against the
     [Atomic] oracle; a failure there means the harness or workload

@@ -157,7 +157,7 @@ let crash_check ?program ~crash_at (s : Spec.t) =
   (match outcome with
   | `Until | `Idle -> ()
   | `Deadlock -> failwith "Exp: workload deadlocked before crash"
-  | `Max_steps -> failwith "Exp: step budget exhausted");
+  | `Max_steps | `Paused -> failwith "Exp: step budget exhausted");
   let undo_records = Vm.undo_records_total m in
   let crashed_at = Vm.clock m in
   Vm.crash m;

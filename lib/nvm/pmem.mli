@@ -88,9 +88,17 @@ val store : t -> addr -> int64 -> unit
 
 val poke : t -> addr -> int64 -> unit
 (** Write directly into the persistence domain, bypassing the cache
-    (still updating any cached copy).  For initialising freshly
-    allocated blocks and for simulator-side metadata; not part of the
-    simulated machine's store path. *)
+    (still updating any cached copy).  For simulator-side metadata;
+    not part of the simulated machine's store path. *)
+
+val zero : t -> addr -> int -> unit
+(** [zero t a n] sets words [\[a, a + n)] to zero as [n] {!poke}s of
+    [0L] would, in the persistence domain and in any cached copy, but
+    in bulk: words at or above the high-water mark are zero already
+    and are skipped, so the mark does not rise.  For initialising
+    freshly allocated blocks and recycled stacks.
+    @raise Invalid_argument on a negative [n] or a range outside the
+    memory. *)
 
 val clwb : t -> addr -> bool
 (** Initiate write-back of the line containing [addr].  Returns whether
@@ -143,23 +151,51 @@ val flush_all : t -> unit
     the whole memory durable without charging anything).  Lines are
     persisted in dirty-index order — see {!dirty_linenos}. *)
 
-(** {1 Checkpoints} *)
+val high_water : t -> int
+(** One past the highest word ever written to the persistence domain
+    (by a write-back, an eviction or a {!poke}); every word at or above
+    it is zero.  Checkpoints copy only the words below it. *)
+
+(** {1 Checkpoints}
+
+    A {e full} checkpoint copies a clean memory's persisted words below
+    the high-water mark.  A {e delta} checkpoint, taken with [~prev],
+    freezes a memory in any state — dirty overlay included — by
+    holding only the lines persisted since [prev] plus the overlay; it
+    is meaningful only together with its chain of predecessors back to
+    a full one, its {e root}.
+
+    A memory starts tracking the lines it persists at its first
+    {!restore} (a memory that is never restored, like every
+    measurement run's, tracks nothing and pays nothing).  From then on
+    a restore over the same root copies back only the lines persisted
+    since the previous restore, not the whole prefix. *)
 
 type checkpoint
-(** An immutable copy of a clean memory: its persisted words, pending
-    write-back count, eviction generator and counters. *)
+(** An immutable copy of the state {!restore} returns to: persisted
+    words (all of them, or a delta), dirty overlay, pending write-back
+    count, eviction generator and counters.  It refers to no memory,
+    so any memory of the same size can restore it. *)
 
-val checkpoint : t -> checkpoint
-(** Capture the memory's state.  Only the prefix below the high-water
-    mark is copied, so a checkpoint of a mostly-untouched memory is
-    small.
-    @raise Invalid_argument when the overlay holds dirty lines. *)
+val checkpoint : ?prev:checkpoint -> t -> checkpoint
+(** Capture the memory's state.  Without [prev], a full checkpoint of
+    a clean memory; if the memory is tracking, the checkpoint becomes
+    the root its later writes are tracked against.  With [prev], a
+    delta over [prev], which must be the last checkpoint taken or
+    restored on this memory while it was tracking.
+    @raise Invalid_argument when a full checkpoint meets dirty lines,
+    or when [prev] is not the memory's last checkpoint or restore. *)
 
 val restore : t -> checkpoint -> unit
-(** Return the memory, in place, to the state {!checkpoint} captured:
-    empty overlay, the checkpoint's persisted words (zero above them),
-    pending count, eviction generator and counters.  The storage grown
-    so far, the overlay storage and the event hook are kept.  The
-    checkpoint must have been taken of the same memory; it is not
-    changed, so it can be restored any number of times.  Runs after a
+(** Return the memory, in place, to the state the checkpoint captured:
+    the persisted words of its root with every delta down to it
+    applied (zero above them), its overlay, pending count, eviction
+    generator and counters.  The storage grown so far and the event
+    hook are kept, and the memory tracks its writes from here on.  The
+    checkpoint is not changed, so it can be restored any number of
+    times, into this memory or another of the same size.  Runs after a
     restore are byte-identical to runs from the checkpointed state. *)
+
+val words_held : checkpoint -> int
+(** The words a checkpoint holds itself (its predecessors not
+    counted): the persisted prefix or delta lines, and the overlay. *)

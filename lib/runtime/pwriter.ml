@@ -12,6 +12,8 @@ type t = {
 let create pm lat =
   { pm; lat; cost = 0; pending = 0; seen = Lineset.create ~capacity:8 () }
 
+let copy t pm = { t with pm; seen = Lineset.create ~capacity:8 () }
+
 let pmem t = t.pm
 let latency t = t.lat
 

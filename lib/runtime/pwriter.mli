@@ -14,6 +14,10 @@ type t
 
 val create : Pmem.t -> Latency.t -> t
 
+val copy : t -> Pmem.t -> t
+(** A writer over the given memory carrying this one's accumulated
+    cost and pending write-back count. *)
+
 val pmem : t -> Pmem.t
 val latency : t -> Latency.t
 

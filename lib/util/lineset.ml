@@ -50,6 +50,13 @@ let add t x =
     if 2 * Vec.length t.members > t.mask then grow t
   end
 
+(* Sized for the members, not for the original's high-water mark:
+   capacity never shows in [mem], [add] or iteration order. *)
+let copy t =
+  let c = create ~capacity:(2 * Vec.length t.members) () in
+  Vec.iter (add c) t.members;
+  c
+
 let cardinal t = Vec.length t.members
 
 let is_empty t = Vec.length t.members = 0

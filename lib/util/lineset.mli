@@ -18,6 +18,10 @@ val add : t -> int -> unit
     @raise Invalid_argument on negative members. *)
 
 val mem : t -> int -> bool
+
+val copy : t -> t
+(** An independent set with the same members in the same order. *)
+
 val cardinal : t -> int
 val is_empty : t -> bool
 

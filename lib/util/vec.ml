@@ -13,6 +13,8 @@ let create_with ~capacity fill =
 
 let length v = v.len
 
+let copy v = { data = Array.sub v.data 0 v.len; len = v.len }
+
 let get v i =
   if i < 0 || i >= v.len then invalid_arg "Vec.get: index out of bounds";
   v.data.(i)

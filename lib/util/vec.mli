@@ -13,6 +13,9 @@ val create_with : capacity:int -> 'a -> 'a t
 
 val length : 'a t -> int
 
+val copy : 'a t -> 'a t
+(** An independent vector with the same elements. *)
+
 val get : 'a t -> int -> 'a
 (** @raise Invalid_argument out of bounds. *)
 

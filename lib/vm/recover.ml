@@ -126,7 +126,7 @@ let run_recovery_threads m =
   match Interp.run m with
   | `Idle -> ()
   | `Deadlock -> failwith "recovery deadlocked"
-  | `Until | `Max_steps -> failwith "recovery did not finish"
+  | `Until | `Max_steps | `Paused -> failwith "recovery did not finish"
 
 let recover_ido m =
   let pm = m.pmem in

@@ -51,11 +51,10 @@ let default_config scheme =
 
 type lock_state = {
   mutable holder : int option;  (* tid *)
-  mutable acquired_at : Timebase.ns;
   waiters : int Queue.t;
 }
 
-let fresh_lock () = { holder = None; acquired_at = 0; waiters = Queue.create () }
+let fresh_lock () = { holder = None; waiters = Queue.create () }
 
 type txn = {
   start_version : int;
@@ -165,22 +164,34 @@ type t = {
   mutable boot : checkpoint option;
       (* the just-created machine, which [Interp.reset] restores; set
          once at the end of [Interp.create] *)
+  mutable in_run : bool;
+      (* inside [Interp.run], or left mid-step by an exception out of
+         it (an event hook's crash injection) until [crash] or
+         [restore]: no checkpoint may be taken *)
+  mutable open_burst : int;
+      (* the tid whose burst a paused run left open, or -1; the next
+         run finishes it before picking again *)
+  mutable open_limit : Timebase.ns;  (* that burst's clock bound *)
 }
 
-(* A quiescent machine, frozen: every mutable piece of [t] that a run
-   can change, each held as a private copy (see [Interp.checkpoint]). *)
+(* A machine between two steps, frozen: every mutable piece of [t]
+   that a run can change, each held as a private copy that refers to no
+   machine (see [Interp.checkpoint]). *)
 and checkpoint = {
   ck_pmem : Pmem.checkpoint;
   ck_rng : Rng.t;
-  ck_vmem : Vmem.t;
-  ck_locks : (int * int option * Timebase.ns) list;
-      (* id, holder, acquired_at; waiter queues start empty *)
-  ck_threads : thread list;  (* all [Done] *)
+  ck_vmem : Vmem.snapshot;
+  ck_locks : (int * int option * int list) list;
+      (* id, holder, waiters (oldest first), for every lock held or
+         waited for: a free lock nobody waits for is a fresh one *)
+  ck_threads : thread list;
+      (* copies whose writers use [detached]; a thread unchanged since
+         the predecessor is that predecessor's copy *)
   ck_clock_floor : Timebase.ns;
   ck_next_tid : int;
   ck_seq : int;
   ck_commit_version : int;
-  ck_write_versions : (int, int) Hashtbl.t;
+  ck_write_versions : int array;  (* address, version, address, ... *)
   ck_commit_token_free_at : Timebase.ns;
   ck_stores_per_region : Cdf.t;
   ck_livein_per_region : Cdf.t;
@@ -189,7 +200,40 @@ and checkpoint = {
   ck_next_fase_id : int;
   ck_free_stacks : int list;
   ck_free_log_nodes : int list;
+  ck_open_burst : int;
+  ck_open_limit : Timebase.ns;
+  ck_own_words : int;  (* roughly, the heap words held by this one alone *)
 }
+
+(* The memory a frozen thread's writer points at, so that a checkpoint
+   holds no reference to the machine it was taken of.  Nothing is ever
+   written through such a writer: restoring a thread copies it onto the
+   target machine's memory first. *)
+let detached = Pmem.create ~rng:(Rng.create 0) 1
+
+let copy_txn txn =
+  {
+    txn with
+    reads = Hashtbl.copy txn.reads;
+    writes = Hashtbl.copy txn.writes;
+    write_order = Vec.copy txn.write_order;
+    snap_regs = Array.copy txn.snap_regs;
+  }
+
+(* A thread record sharing no mutable piece with [t], its writer over
+   [pmem].  Frames' functions are immutable program data and are
+   shared. *)
+let copy_thread pmem t =
+  {
+    t with
+    writer = Pwriter.copy t.writer pmem;
+    rng = Rng.copy t.rng;
+    frames = List.map (fun fr -> { fr with regs = Array.copy fr.regs }) t.frames;
+    region_lines = Lineset.copy t.region_lines;
+    fase_lines = Lineset.copy t.fase_lines;
+    touched_pages = Hashtbl.copy t.touched_pages;
+    txn = Option.map copy_txn t.txn;
+  }
 
 (* Tag subsequent pmem-level obs events with a thread's identity (or
    the machine's, tid = fase = -1). *)

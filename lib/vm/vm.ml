@@ -21,7 +21,7 @@ type config = State.config = {
 
 let config = State.default_config
 
-type run_outcome = [ `Idle | `Until | `Max_steps | `Deadlock ]
+type run_outcome = [ `Idle | `Until | `Max_steps | `Deadlock | `Paused ]
 
 exception Vm_error = Interp.Vm_error
 
@@ -31,6 +31,7 @@ type checkpoint = State.checkpoint
 
 let checkpoint = Interp.checkpoint
 let restore = Interp.restore
+let checkpoint_words = Interp.checkpoint_words
 let reset = Interp.reset
 
 type thread = State.thread

@@ -34,7 +34,7 @@ let crash_and_verify ?cache_lines ~scheme ~workload ~threads ~seed ~crash_at () 
   (match Vm.run ~until:crash_at m with
   | `Until | `Idle -> ()
   | `Deadlock -> failwith "workload deadlocked"
-  | `Max_steps -> failwith "step budget");
+  | `Max_steps | `Paused -> failwith "step budget");
   Vm.crash m;
   let _ = Vm.recover m in
   run_check m
